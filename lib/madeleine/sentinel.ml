@@ -15,9 +15,10 @@
    probing runs only within [grace] of the last {!touch} (channels touch
    on every packet they move). Once the grace window expires the daemon
    parks on a plain suspend — no pending timer — and the engine can
-   drain; the next touch re-arms it. A crashed self also parks: a dead
-   host probes nobody, and its restart handler touches the sentinel
-   back to life. *)
+   drain; the next touch re-arms it, and the silence clock of every
+   peer restarts at the wake-up, so parked time never counts as
+   silence. A crashed self also parks: a dead host probes nobody, and
+   its restart handler touches the sentinel back to life. *)
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
@@ -133,6 +134,13 @@ let rec loop t =
     Engine.suspend ~name:(Printf.sprintf "sentinel.park.%d" t.me) (fun wake ->
         t.park_wake <- Some wake);
     t.park_wake <- None;
+    (* Parked time is not silence: nobody probed, so no heartbeat could
+       arrive. Restart the silence clock, or the first probe after a long
+       park would read the whole idle gap as a dead peer. *)
+    let now = Engine.now t.engine in
+    List.iter
+      (fun p -> if p.p_have_arrival then p.p_last_arrival <- now)
+      t.peers;
     loop t
   end
   else begin

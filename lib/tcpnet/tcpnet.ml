@@ -82,10 +82,8 @@ type conn = {
   mutable rtx_wake : (unit -> unit) option; (* retransmitter daemon wake *)
   mutable rtx_alive : bool;
   mutable peer_epoch_seen : int; (* peer restart epoch at last session sync *)
-  mutable retries : int; (* total retransmissions on this conn *)
   mutable consec_fail : int; (* RTO expiries since the last ack progress *)
   mutable dead : bool; (* retransmission gave up: peer unreachable *)
-  mutable crc_rejects : int; (* corrupted frames this end discarded *)
   mutable dup_frames : int; (* duplicate/out-of-window frames discarded *)
   mutable rx_slot : Time.t; (* slow-receiver pacing cursor (Faults.rx_cap) *)
   mutable peak_inbox : int; (* highest buffered unconsumed bytes observed *)
@@ -108,7 +106,6 @@ and net = {
   mutable fault_hooks : bool; (* crash/restart listeners installed *)
   mutable net_retransmissions : int;
   mutable net_crc_rejects : int;
-  mutable net_handshakes : int; (* crash-epoch session resyncs performed *)
 }
 
 let make_net ?(window = 8) ?(max_retries = 12) engine fabric =
@@ -124,12 +121,9 @@ let make_net ?(window = 8) ?(max_retries = 12) engine fabric =
     fault_hooks = false;
     net_retransmissions = 0;
     net_crc_rejects = 0;
-    net_handshakes = 0;
   }
 
 let net_stats net = (net.net_retransmissions, net.net_crc_rejects)
-let net_handshakes net = net.net_handshakes
-let net_window net = net.window
 
 let attach net node =
   if Hashtbl.mem net.stacks node.Node.id then
@@ -140,7 +134,6 @@ let attach net node =
   Hashtbl.add net.stacks node.Node.id t;
   t
 
-let node t = t.host
 let engine t = t.net.engine
 let fabric_name t = Fabric.name t.net.fabric
 
@@ -176,10 +169,8 @@ let fresh_conn stack =
     rtx_wake = None;
     rtx_alive = false;
     peer_epoch_seen = -1;
-    retries = 0;
     consec_fail = 0;
     dead = false;
-    crc_rejects = 0;
     dup_frames = 0;
     rx_slot = Time.zero;
     peak_inbox = 0;
@@ -292,15 +283,14 @@ let out_stream conn remote =
       conn.out_stream <- Some st;
       st
 
-(* One kernel entry ships [staged] (already copied); delivery continues
-   asynchronously in the per-connection FIFO stream, as with a real
-   socket buffer. *)
-let fast_transmit conn remote staged =
-  let bytes_count = List.fold_left (fun n b -> n + Bytes.length b) 0 staged in
+(* One kernel entry ships [data] (the send's own copy); delivery
+   continues asynchronously in the per-connection FIFO stream, as with a
+   real socket buffer. *)
+let fast_transmit conn remote data =
   Engine.sleep Netparams.tcp_send_overhead;
-  Simnet.Stream.push (out_stream conn remote) ~bytes_count
+  Simnet.Stream.push (out_stream conn remote) ~bytes_count:(Bytes.length data)
     ~on_delivered:(fun () ->
-      List.iter (push_inbox remote) staged;
+      push_inbox remote data;
       wake_readers remote)
 
 let host_id conn = conn.stack.host.Node.id
@@ -542,7 +532,6 @@ and push_wire conn remote faults f =
         if Simnet.Checksum.crc32 data <> f.f_crc then begin
           (* Detected corruption: discard silently, no ack — the
              sender's RTO covers recovery. *)
-          remote.crc_rejects <- remote.crc_rejects + 1;
           net.net_crc_rejects <- net.net_crc_rejects + 1
         end
         else begin
@@ -631,7 +620,6 @@ let session_resync conn remote faults =
           c.backoff <- 0;
           c.consec_fail <- 0)
         [ conn; remote ];
-      net.net_handshakes <- net.net_handshakes + 1;
       wake_acked conn;
       wake_acked remote;
       wake_rtx conn;
@@ -673,7 +661,6 @@ let on_expiry conn remote faults =
               f.f_floor <-
                 frame_floor net ~rx_cap ~queued_bytes:(backlog + !cum);
               f.f_rexmit <- true;
-              conn.retries <- conn.retries + 1;
               net.net_retransmissions <- net.net_retransmissions + 1;
               push_wire conn remote faults f
             end)
@@ -723,8 +710,10 @@ let ensure_rtx conn remote faults =
 (* Windowed reliable send: blocks only for window admission (and for
    the session handshake after a restart); delivery and recovery are
    driven by the retransmitter daemon, so a sender may exit with frames
-   still in flight and the transfer completes behind it. *)
-let reliable_send conn remote faults staged =
+   still in flight and the transfer completes behind it. [data] is the
+   send's own copy and becomes the frame's payload as is: the CRC is
+   computed once here and checked at every delivery. *)
+let reliable_send conn remote faults data =
   let net = conn.stack.net in
   install_fault_hooks net faults;
   ensure_epoch_baseline conn remote faults;
@@ -749,7 +738,6 @@ let reliable_send conn remote faults staged =
     mark_dead conn remote;
     fail (Printf.sprintf "Tcpnet.send: %d->%d unreachable" src dst)
   end;
-  let data = Bytes.concat Bytes.empty staged in
   let total = Bytes.length data in
   let mtu = (Fabric.link net.fabric).Netparams.hw_mtu in
   let seq = conn.tx_seq in
@@ -776,27 +764,42 @@ let reliable_send conn remote faults staged =
   push_wire conn remote faults f;
   wake_rtx conn
 
-let transmit conn staged =
+let transmit conn data =
   let remote =
     match conn.peer with
     | Some p -> p
     | None -> invalid_arg "Tcpnet.send: not connected"
   in
   match Fabric.faults conn.stack.net.fabric with
-  | None -> fast_transmit conn remote staged
-  | Some faults -> reliable_send conn remote faults staged
+  | None -> fast_transmit conn remote data
+  | Some faults -> reliable_send conn remote faults data
 
-let send conn data = transmit conn [ Bytes.copy data ]
-let send_group conn bufs = transmit conn (List.map Bytes.copy bufs)
+(* The one host copy a send makes: the slices, gathered into a fresh
+   buffer that the stack owns from here on (socket-buffer semantics). *)
+let gather slices =
+  let total =
+    List.fold_left
+      (fun n (buf, off, len) ->
+        if off < 0 || len < 0 || off + len > Bytes.length buf then
+          invalid_arg "Tcpnet.send_group: out of bounds";
+        n + len)
+      0 slices
+  in
+  let data = Bytes.create total in
+  ignore
+    (List.fold_left
+       (fun pos (buf, off, len) ->
+         Bytes.blit buf off data pos len;
+         pos + len)
+       0 slices);
+  data
+
+let send conn data = transmit conn (Bytes.copy data)
+let send_group conn slices = transmit conn (gather slices)
 
 let is_dead conn = conn.dead
-let retries conn = conn.retries
 let consecutive_failures conn = conn.consec_fail
 let duplicate_frames conn = conn.dup_frames
-let in_flight conn = Queue.length conn.sendq
-let srtt_us conn = if conn.have_rtt then Some conn.srtt else None
-let inbox_peak conn = conn.peak_inbox
-let sendq_peak conn = conn.peak_sendq
 
 let queue_peaks net =
   List.fold_left

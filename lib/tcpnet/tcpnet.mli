@@ -41,7 +41,6 @@ val make_net :
     under a fault plane. *)
 
 val attach : net -> Simnet.Node.t -> t
-val node : t -> Simnet.Node.t
 val engine : t -> Marcel.Engine.t
 
 val fabric_name : t -> string
@@ -51,11 +50,6 @@ val fabric_name : t -> string
 val net_stats : net -> int * int
 (** [(retransmissions, crc_rejects)] summed over every connection of the
     net — both zero unless a fault plane is attached. *)
-
-val net_handshakes : net -> int
-(** Crash-epoch session handshakes performed across the net. *)
-
-val net_window : net -> int
 
 val listen : t -> port:int -> unit
 (** Opens a passive socket. Raises [Invalid_argument] if the port is
@@ -81,12 +75,13 @@ val socketpair : t -> t -> conn * conn
 
 val send : conn -> Bytes.t -> unit
 (** Blocks for the kernel send path; returns when the payload has been
-    handed to the stack (socket-buffer semantics), with delivery
-    continuing asynchronously. Under a fault plane, additionally blocks
-    while the send window is full; recovery is then driven by a per-conn
-    retransmitter daemon, so the call returns with the frame still in
-    flight and raises {!Timeout} only if the connection is (or becomes,
-    while waiting for window space) dead. *)
+    copied into the stack (socket-buffer semantics: the caller may reuse
+    its buffer at once), with delivery continuing asynchronously. Under
+    a fault plane, additionally blocks while the send window is full;
+    recovery is then driven by a per-conn retransmitter daemon, so the
+    call returns with the frame still in flight and raises {!Timeout}
+    only if the connection is (or becomes, while waiting for window
+    space) dead. *)
 
 val recv :
   ?timeout:Marcel.Time.span -> conn -> Bytes.t -> off:int -> len:int -> unit
@@ -97,9 +92,11 @@ val recv :
 val available : conn -> int
 (** Bytes currently buffered for reading. *)
 
-val send_group : conn -> Bytes.t list -> unit
-(** Scatter-gather send ([writev]): ships several buffers while paying the
-    kernel entry cost only once. *)
+val send_group : conn -> (Bytes.t * int * int) list -> unit
+(** Scatter-gather send ([writev]): ships each [(buf, off, len)] slice in
+    order as one frame, copying the slices once into the stack and paying
+    the kernel entry cost only once. Raises [Invalid_argument] if a slice
+    exceeds its buffer's bounds. *)
 
 val recv_group : conn -> (Bytes.t * int * int) list -> unit
 (** Gather receive ([readv]): fills each [(buf, off, len)] slice in order,
@@ -115,9 +112,6 @@ val is_dead : conn -> bool
 (** Retransmission gave up on this connection; sends fail fast with
     {!Timeout} until the peer host restarts (new fault-plane epoch). *)
 
-val retries : conn -> int
-(** Total retransmissions performed on this end of the connection. *)
-
 val consecutive_failures : conn -> int
 (** Consecutive RTO expiries since the last acknowledged progress — the
     driver maps this to a [Degraded] peer-health report. *)
@@ -125,13 +119,6 @@ val consecutive_failures : conn -> int
 val duplicate_frames : conn -> int
 (** Frames this end received but discarded as duplicate or out of
     order (go-back-N accepts only the next expected sequence). *)
-
-val in_flight : conn -> int
-(** Frames currently unacknowledged in this end's send window. *)
-
-val srtt_us : conn -> float option
-(** Smoothed RTT estimate in microseconds, once at least one clean
-    (non-retransmitted) sample has been taken. *)
 
 (** {1 Queue instrumentation} — peak occupancy of the stack's two
     buffering points, for backpressure invariant checks. A receiver
@@ -142,14 +129,8 @@ val srtt_us : conn -> float option
     dead one. Without a cap (and without a fault plane) the delivery
     path is untouched. *)
 
-val inbox_peak : conn -> int
-(** Highest number of delivered-but-unconsumed bytes ever buffered on
-    this end. *)
-
-val sendq_peak : conn -> int
-(** Highest go-back-N window occupancy (frames) ever reached by this
-    end — never exceeds the net's [window]. *)
-
 val queue_peaks : net -> int * int
-(** [(inbox bytes, sendq frames)] — the maxima of the two peaks above
-    over every connection of the net. *)
+(** [(inbox bytes, sendq frames)]: over every connection of the net, the
+    highest number of delivered-but-unconsumed bytes ever buffered on one
+    end, and the highest go-back-N window occupancy (frames) ever reached
+    by one end — never more than the net's [window]. *)

@@ -1,7 +1,7 @@
 (* Tests for the fault-injection plane and the reliable TCP path built
    on it: CRC detection, retransmission under loss and corruption, link
-   flaps, typed timeouts, PCI stalls, and byte-reproducibility of a
-   seeded faulty run. *)
+   flaps, typed timeouts, PCI stalls, send copy semantics, and
+   byte-reproducibility of a seeded faulty run. *)
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
@@ -67,6 +67,53 @@ let test_crc_known_vector () =
   Alcotest.(check int)
     "crc32(\"123456789\")" 0xCBF43926
     (Simnet.Checksum.crc32 (Bytes.of_string "123456789"))
+
+(* The textbook byte-at-a-time CRC-32, kept here as the reference the
+   library's sliced kernel must agree with. *)
+let crc32_bytewise b ~off ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_matches_bytewise_reference () =
+  let mismatches = ref [] in
+  let check b ~off ~len =
+    if Simnet.Checksum.crc32 ~off ~len b <> crc32_bytewise b ~off ~len then
+      mismatches := (Bytes.length b, off, len) :: !mismatches
+  in
+  (* Every short length at every alignment: all tail sizes, with and
+     without a whole 8-byte step. *)
+  let buf = payload 128 77L in
+  for len = 0 to 64 do
+    for off = 0 to 7 do
+      check buf ~off ~len
+    done
+  done;
+  (* Random sub-ranges of buffers up to 9 kB. *)
+  let rng = Simnet.Rng.create ~seed:78L in
+  for i = 1 to 300 do
+    let size = 1 + Simnet.Rng.int rng 9216 in
+    let b = payload size (Int64.of_int (1000 + i)) in
+    let off = Simnet.Rng.int rng (size + 1) in
+    let len = Simnet.Rng.int rng (size - off + 1) in
+    check b ~off ~len;
+    check b ~off:0 ~len:size
+  done;
+  Alcotest.(check (list (triple int int int)))
+    "no (size, off, len) disagrees with the reference" [] !mismatches;
+  Alcotest.(check int) "defaults cover the whole buffer"
+    (crc32_bytewise buf ~off:0 ~len:128)
+    (Simnet.Checksum.crc32 buf)
 
 let test_zero_rate_plane_changes_nothing () =
   (* Attaching a plane but configuring no fault must not consume any
@@ -221,6 +268,67 @@ let test_seeded_run_is_reproducible () =
   Alcotest.(check bool) "identical finish instant" true (t1 = t2);
   Alcotest.(check bool) "identical fault stats" true (s1 = s2);
   Alcotest.(check bool) "identical transport stats" true (n1 = n2)
+
+(* Socket-buffer semantics: once [send] or [send_group] returns, the
+   stack owns its own copy of the bytes, so overwriting the caller's
+   buffers cannot change what is delivered. In reliable mode a lost
+   frame is retransmitted from that copy too. *)
+let check_sends_copy ~engine ~c0 ~c1 =
+  let rounds = 6 in
+  let msgs =
+    List.init rounds (fun i ->
+        let seed k = Int64.of_int ((10 * i) + k) in
+        (payload 3000 (seed 1), payload 500 (seed 2), payload 2500 (seed 3)))
+  in
+  let expected =
+    Bytes.concat Bytes.empty
+      (List.concat_map
+         (fun (a, b, c) ->
+           [ Bytes.copy a; Bytes.sub b 3 400; Bytes.sub c 7 2000;
+             Bytes.sub b 0 10 ])
+         msgs)
+  in
+  let wipe x = Bytes.fill x 0 (Bytes.length x) '\xff' in
+  Engine.spawn engine ~name:"send" (fun () ->
+      List.iter
+        (fun (a, b, c) ->
+          Tcpnet.send c0 a;
+          wipe a;
+          Tcpnet.send_group c0 [ (b, 3, 400); (c, 7, 2000); (b, 0, 10) ];
+          wipe b;
+          wipe c)
+        msgs);
+  let got = Bytes.create (Bytes.length expected) in
+  Engine.spawn engine ~name:"recv" (fun () ->
+      Tcpnet.recv c1 got ~off:0 ~len:(Bytes.length got));
+  Engine.run engine;
+  Alcotest.(check bool) "delivered bytes are the ones passed in" true
+    (Bytes.equal got expected)
+
+let test_send_copies_fast_path () =
+  let engine = Engine.create () in
+  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
+  let stacks =
+    Array.init 2 (fun i ->
+        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
+        Fabric.attach fabric n;
+        n)
+    |> Array.map (Tcpnet.attach (Tcpnet.make_net engine fabric))
+  in
+  let c0, c1 = Tcpnet.socketpair stacks.(0) stacks.(1) in
+  check_sends_copy ~engine ~c0 ~c1
+
+let test_send_copies_reliable () =
+  let w = faulty_world ~seed:12L ~drop:0.1 () in
+  check_sends_copy ~engine:w.engine ~c0:w.c0 ~c1:w.c1;
+  let retrans, _ = Tcpnet.net_stats w.net in
+  Alcotest.(check bool) "some frame was retransmitted" true (retrans > 0)
+
+let test_send_group_bounds () =
+  let w = faulty_world () in
+  Alcotest.check_raises "slice past the end"
+    (Invalid_argument "Tcpnet.send_group: out of bounds") (fun () ->
+      Tcpnet.send_group w.c0 [ (Bytes.create 8, 4, 5) ])
 
 (* ------------------------------------------------------------------ *)
 (* Credit-based flow control against the fault plane: a reliable
@@ -510,6 +618,8 @@ let () =
       ( "plane",
         [
           Alcotest.test_case "crc32 known vector" `Quick test_crc_known_vector;
+          Alcotest.test_case "crc32 matches bytewise reference" `Quick
+            test_crc_matches_bytewise_reference;
           Alcotest.test_case "zero-rate plane is inert" `Quick
             test_zero_rate_plane_changes_nothing;
           Alcotest.test_case "seeded run reproducible" `Quick
@@ -532,6 +642,11 @@ let () =
             test_window_survives_reorder_dup_loss;
           Alcotest.test_case "max_retries: give up, attempts" `Quick
             test_max_retries_gives_up_with_attempt_count;
+          Alcotest.test_case "send copies: fast path" `Quick
+            test_send_copies_fast_path;
+          Alcotest.test_case "send copies: reliable mode" `Quick
+            test_send_copies_reliable;
+          Alcotest.test_case "send_group bounds" `Quick test_send_group_bounds;
         ] );
       ( "partitions",
         [

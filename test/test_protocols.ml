@@ -414,7 +414,8 @@ let test_tcp_group_ops () =
   let a = Bytes.create 3 and b = Bytes.create 5 in
   Engine.spawn e ~name:"client" (fun () ->
       let c = Tcpnet.connect t0 ~node_id:1 ~port:80 in
-      Tcpnet.send_group c [ Bytes.of_string "xyz"; Bytes.of_string "12345" ]);
+      Tcpnet.send_group c
+        [ (Bytes.of_string "xyz", 0, 3); (Bytes.of_string "12345", 0, 5) ]);
   Engine.spawn e ~name:"server" (fun () ->
       let c = Tcpnet.accept t1 ~port:80 in
       Tcpnet.recv_group c [ (a, 0, 3); (b, 0, 5) ]);

@@ -1,7 +1,8 @@
 (* Tests for the phi-accrual failure detector: suspicion transitions on
    a flapped link, crash detection without a fabric scope, degradation
-   and recovery on a lossy link, activity-gated quiescence, and
-   reproducibility of a seeded timeline. *)
+   and recovery on a lossy link, activity-gated quiescence, no
+   suspicion from parked time, and reproducibility of a seeded
+   timeline. *)
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
@@ -120,6 +121,40 @@ let test_activity_gated_quiescence () =
   Alcotest.(check (list int)) "quiet peer never suspected" []
     (Sentinel.suspected s)
 
+(* Parked time is not silence. The daemon parks once [grace] passes
+   without a touch; when traffic wakes it, the silence clock restarts,
+   so a live peer whose first heartbeat after the park is lost is not
+   condemned for the whole idle gap. *)
+let test_park_is_not_silence () =
+  let engine, faults = world () in
+  let s = Sentinel.create engine faults ~me:0 ~peers:[ 1 ] ~fabric:"eth" () in
+  Sentinel.start s;
+  (* Traffic until 3 ms seeds the arrival clock; the daemon parks about
+     2 ms (one default grace) later and stays parked until 40 ms, more
+     than 10 grace windows. *)
+  drive engine s ~until_us:3_000.0;
+  let wake_us = 40_000.0 in
+  (* The link is down across the wake instant: the first heartbeat after
+     waking is dropped, the next one gets through. *)
+  Faults.flap_link faults ~fabric:"eth" ~node:1
+    ~at:(Time.add Time.zero (Time.us (wake_us -. 100.0)))
+    ~duration:(Time.us 200.0);
+  let lost_before_wake = ref (-1) in
+  Engine.spawn engine ~name:"wake" (fun () ->
+      Engine.sleep (Time.us wake_us);
+      lost_before_wake := (Faults.stats faults).Faults.heartbeats_lost;
+      Sentinel.touch s);
+  Engine.run engine;
+  Alcotest.(check int) "no heartbeat lost before the park" 0 !lost_before_wake;
+  Alcotest.(check int) "first heartbeat after waking dropped" 1
+    (Faults.stats faults).Faults.heartbeats_lost;
+  Alcotest.(check bool) "live peer never Down" false
+    (List.exists
+       (fun e -> e.Sentinel.ev_to = Sentinel.Down)
+       (Sentinel.timeline s));
+  Alcotest.(check bool) "final verdict Up" true
+    (Sentinel.state s 1 = Sentinel.Up)
+
 let test_seeded_timeline_reproducible () =
   let run () =
     let engine, faults = world ~seed:23L () in
@@ -232,6 +267,8 @@ let () =
             test_lossy_link_degrades_then_recovers;
           Alcotest.test_case "activity-gated wind-down" `Quick
             test_activity_gated_quiescence;
+          Alcotest.test_case "parked time is not silence" `Quick
+            test_park_is_not_silence;
           Alcotest.test_case "seeded timeline reproducible" `Quick
             test_seeded_timeline_reproducible;
           Alcotest.test_case "forget drops per-rank state" `Quick
