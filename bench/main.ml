@@ -53,50 +53,36 @@ let fig11 () = print_string (Sweeps.fig11 (runner ()))
 
 (* ------------------------------------------------------------------ *)
 
-(* The chaos section: the CI-sized fault-injection sweep at the fixed
-   seed. Every number is simulated, so the section's output is
-   byte-identical across runs and worker counts; a delivery-integrity
-   or failover failure aborts the whole bench run. *)
+(* The chaos sections run scenarios of the chaos table at the fixed
+   seed 42. Every number is simulated, so their output is byte-identical
+   across runs and worker counts; any failing gate aborts the whole
+   bench run. *)
+let chaos_section title ~quick chosen =
+  header title;
+  let results = Chaos.run (runner ()) ~seed:42 ~quick chosen in
+  print_string (Chaos.render ~seed:42 ~quick results);
+  match Chaos.failing_gates results with
+  | [] -> ()
+  | failed ->
+      Printf.printf "\nbench: chaos gates FAILED: %s\n"
+        (String.concat ", " failed);
+      exit 1
+
+(* The CI-sized fault-injection sweep. *)
 let chaos () =
-  header "Chaos -- reliable delivery under injected faults (seed 42, quick)";
-  let report = Chaos.run (runner ()) ~seed:42 ~quick:true in
-  print_string (Chaos.render_table report);
-  if not (Chaos.all_ok report) then begin
-    Printf.printf "\nbench: chaos delivery/failover check FAILED.\n";
-    exit 1
-  end
+  chaos_section
+    "Chaos -- reliable delivery under injected faults (seed 42, quick)"
+    ~quick:true Chaos.sweep
 
 (* Collectives scaling: one barrier per (size, algo) over the
-   hierarchical cluster-of-clusters world, spanning tree against the
-   flat linear fan-in. Everything is simulated, so the table is
-   byte-identical across runs; the flat/tree latency ratio at the
-   largest size must clear the same floor madbench's coll-scale
-   workload gates on. *)
-let coll_scale_ratio_floor = 4.0
-
+   hierarchical cluster-of-clusters world at 64, 256 and 1024 ranks,
+   spanning tree against the flat linear fan-in. *)
 let collectives () =
-  header "Collectives -- tree vs flat barrier latency (seed 42, fanout 4)";
-  let cs =
-    Chaos.coll_scale_run ~seed:42 ~fanout:4
-      ~sizes:[ (8, 8); (16, 16); (32, 32) ]
-  in
-  Printf.printf "  %6s %6s %7s %12s %12s %8s\n" "ranks" "depth" "rounds"
-    "tree (us)" "flat (us)" "ratio";
-  List.iter
-    (fun r ->
-      Printf.printf "  %6d %6d %7d %12.2f %12.2f %7.2fx\n" r.Chaos.sr_ranks
-        r.Chaos.sr_depth r.Chaos.sr_rounds r.Chaos.sr_tree_us r.Chaos.sr_flat_us
-        (r.Chaos.sr_flat_us /. Float.max 1e-9 r.Chaos.sr_tree_us))
-    cs.Chaos.cs_rows;
-  Printf.printf
-    "  flat/tree at the largest size: %.2fx (floor %.1fx); tree depth \
-     log-like: %b\n%!"
-    cs.Chaos.cs_ratio coll_scale_ratio_floor cs.Chaos.cs_log_like;
-  if not (cs.Chaos.cs_log_like && cs.Chaos.cs_ratio >= coll_scale_ratio_floor)
-  then begin
-    Printf.printf "\nbench: collectives scaling check FAILED.\n";
-    exit 1
-  end
+  chaos_section "Collectives -- tree vs flat barrier latency (seed 42, fanout 4)"
+    ~quick:false
+    (List.filter
+       (fun (s : Chaos.scenario) -> s.name = "coll-scale")
+       Chaos.scenarios)
 
 (* ------------------------------------------------------------------ *)
 

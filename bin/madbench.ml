@@ -374,192 +374,58 @@ let json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
          ~doc:"Also write the machine-readable report to FILE.")
 
-(* Exit non-zero naming every tripped gate; write a small JSON report
-   when asked. Shared by the full sweep and the single-workload mode. *)
-let chaos_finish ~json_file ~json gates =
+(* The full sweep, or one scenario of the table: render it, write the
+   JSON when asked, and exit non-zero naming every tripped gate. *)
+let chaos workload quick seed jobs_opt json_file =
+  let chosen =
+    match workload with
+    | None -> Chaos.sweep
+    | Some w -> (
+        match
+          List.find_opt (fun (s : Chaos.scenario) -> s.name = w) Chaos.scenarios
+        with
+        | Some s -> [ s ]
+        | None ->
+            Format.eprintf "chaos: unknown workload %s (expected %s)@." w
+              (String.concat ", "
+                 (List.map (fun (s : Chaos.scenario) -> s.name) Chaos.scenarios));
+            exit 2)
+  in
+  let jobs = match jobs_opt with Some n -> n | None -> Parsim.default_jobs () in
+  let results =
+    Parsim.with_pool ~jobs (fun pool ->
+        Chaos.run (Sweeps.pool_runner pool) ~seed ~quick chosen)
+  in
+  print_string (Chaos.render ~seed ~quick results);
   (match json_file with
   | None -> ()
   | Some file ->
       let oc = open_out file in
-      output_string oc json;
+      output_string oc (Chaos.to_json ~seed ~quick results);
       close_out oc;
       Format.printf "wrote %s@." file);
-  match List.filter_map (fun (n, ok) -> if ok then None else Some n) gates with
+  match Chaos.failing_gates results with
   | [] -> ()
   | failed ->
       List.iter (fun name -> Format.eprintf "chaos: gate FAILED: %s@." name)
         failed;
       exit 1
 
-(* A single live-topology scenario (the CI smoke path): run it alone,
-   print its table line and judge only its own gates. *)
-let chaos_one workload quick seed json_file =
-  let messages = if quick then 3 else 4 in
-  let size = 16384 in
-  let coll_metrics (c : Chaos.coll_chaos) =
-    [
-      ("completed", string_of_int c.Chaos.co_completed);
-      ("failed", string_of_int c.Chaos.co_failed);
-      ("repairs", string_of_int c.Chaos.co_repairs);
-      ("combined", string_of_int c.Chaos.co_combined);
-      ("root_contribs", string_of_int c.Chaos.co_root_contribs);
-      ("dup_suppressed", string_of_int c.Chaos.co_dup_suppressed);
-    ]
-  in
-  let line, gates, metrics =
-    match workload with
-    | "rolling-restart" ->
-        let rr = Chaos.rolling_restart_run ~seed ~size ~messages in
-        (Chaos.rolling_line rr, Chaos.rolling_gates rr, [])
-    | "partition-majority" | "coordinator-loss" | "partition-flapping" ->
-        let p =
-          match workload with
-          | "partition-majority" ->
-              Chaos.partition_majority_run ~seed ~size ~messages
-          | "coordinator-loss" ->
-              Chaos.coordinator_loss_run ~seed ~size ~messages
-          | _ ->
-              Chaos.partition_flapping_run ~seed ~size ~messages ~cycles:3
-        in
-        ( Chaos.partition_line p,
-          Chaos.partition_gates p,
-          [
-            ("elections", string_of_int p.Chaos.pt_elections);
-            ( "reelect_latency_us",
-              Printf.sprintf "%.2f" p.Chaos.pt_reelect_latency_us );
-            ("cut_delivered", string_of_int p.Chaos.pt_cut_delivered);
-            ("pending_after", string_of_int p.Chaos.pt_pending_after);
-            ("reemitted", string_of_int p.Chaos.pt_reemitted);
-          ] )
-    | "join" ->
-        let e = Chaos.join_load_run ~seed ~size ~messages in
-        (Chaos.elastic_line e, Chaos.elastic_gates e, [])
-    | "drain" ->
-        let e = Chaos.drain_load_run ~seed ~size ~messages in
-        (Chaos.elastic_line e, Chaos.elastic_gates e, [])
-    | "coll-crash-barrier" ->
-        let c = Chaos.coll_crash_barrier_run ~seed in
-        (Chaos.coll_line c, Chaos.coll_gates c, coll_metrics c)
-    | "coll-spine-overload" ->
-        let c =
-          Chaos.coll_spine_overload_run ~seed ~size:4096
-            ~messages:(if quick then 24 else 48)
-            ~credits:64 ~gw_pool:4 ~rx_cap_mb_s:1.0
-        in
-        (Chaos.coll_line c, Chaos.coll_gates c, coll_metrics c)
-    | "coll-rolling-allreduce" ->
-        let c = Chaos.coll_rolling_allreduce_run ~seed ~clusters:8 ~per:8 in
-        (Chaos.coll_line c, Chaos.coll_gates c, coll_metrics c)
-    | "coll-scale" ->
-        (* quick drops the 1024-rank row; the scale ratio is recorded in
-           the JSON metrics and gated. *)
-        let sizes =
-          if quick then [ (8, 8); (16, 16) ]
-          else [ (8, 8); (16, 16); (32, 32) ]
-        in
-        let cs = Chaos.coll_scale_run ~seed ~fanout:4 ~sizes in
-        let largest =
-          List.nth cs.Chaos.cs_rows (List.length cs.Chaos.cs_rows - 1)
-        in
-        ( Chaos.coll_scale_line cs,
-          Chaos.coll_scale_gates cs,
-          [
-            ("ranks", string_of_int largest.Chaos.sr_ranks);
-            ("tree_depth", string_of_int largest.Chaos.sr_depth);
-            ("tree_rounds", string_of_int largest.Chaos.sr_rounds);
-            ("tree_us", Printf.sprintf "%.2f" largest.Chaos.sr_tree_us);
-            ("flat_us", Printf.sprintf "%.2f" largest.Chaos.sr_flat_us);
-            ("ratio", Printf.sprintf "%.2f" cs.Chaos.cs_ratio);
-            ( "tree_root_contribs",
-              string_of_int largest.Chaos.sr_tree_root_contribs );
-            ( "flat_root_contribs",
-              string_of_int largest.Chaos.sr_flat_root_contribs );
-          ] )
-    | w ->
-        Format.eprintf
-          "chaos: unknown workload %s (expected rolling-restart, join, \
-           drain, partition-majority, coordinator-loss, \
-           partition-flapping, coll-crash-barrier, coll-spine-overload, \
-           coll-rolling-allreduce or coll-scale)@."
-          w;
-        exit 2
-  in
-  print_string line;
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{ \"chaos\": { \"seed\": %d, \"workload\": %S,\n" seed workload);
-  (if metrics <> [] then begin
-     Buffer.add_string b "\"metrics\": {\n";
-     let last_m = List.length metrics - 1 in
-     List.iteri
-       (fun i (k, v) ->
-         Buffer.add_string b
-           (Printf.sprintf "  %S: %s%s\n" k v (if i = last_m then "" else ",")))
-       metrics;
-     Buffer.add_string b "},\n"
-   end);
-  Buffer.add_string b "\"gates\": [\n";
-  let last = List.length gates - 1 in
-  List.iteri
-    (fun i (name, ok) ->
-      Buffer.add_string b
-        (Printf.sprintf "  { \"gate\": %S, \"pass\": %b }%s\n" name ok
-           (if i = last then "" else ",")))
-    gates;
-  Buffer.add_string b "] } }\n";
-  chaos_finish ~json_file ~json:(Buffer.contents b) gates
-
-let chaos workload quick seed jobs_opt json_file =
-  match workload with
-  | Some w -> chaos_one w quick seed json_file
-  | None ->
-      let jobs =
-        match jobs_opt with Some n -> n | None -> Parsim.default_jobs ()
-      in
-      let report =
-        Parsim.with_pool ~jobs (fun pool ->
-            Chaos.run (Sweeps.pool_runner pool) ~seed ~quick)
-      in
-      print_string (Chaos.render_table report);
-      chaos_finish ~json_file ~json:(Chaos.to_json report)
-        (Chaos.gates report)
-
 let workload_arg =
+  let item (s : Chaos.scenario) = Printf.sprintf "$(b,%s) (%s)" s.name s.doc in
   Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
-         ~doc:"Run a single scenario instead of the full sweep: \
-               $(b,rolling-restart) (every rank drains, restarts and \
-               rejoins under traffic), $(b,join) (a rank joins mid-stream \
-               and becomes routable without quiescing flows), $(b,drain) \
-               (the on-route gateway drains mid-stream and the flow \
-               reroutes), $(b,partition-majority) (a minority rank is \
-               cut off; the majority keeps its coordinator and goodput, \
-               the minority fails typed, the heal replays its parked \
-               join), $(b,coordinator-loss) (the partition strands the \
-               coordinator itself; the majority elects a replacement and \
-               the re-election latency is recorded), \
-               $(b,partition-flapping) (repeated cut/heal cycles each \
-               isolating the sitting coordinator; every flap forces a \
-               committed re-election and membership survives), \
-               $(b,coll-crash-barrier) (a rank crashes \
-               mid-barrier, survivors decide, the restart re-joins from \
-               the journal exactly-once), $(b,coll-spine-overload) (an \
-               Overloaded gateway is routed off the collective tree \
-               spine), $(b,coll-rolling-allreduce) (rolling restarts \
-               during a 64-rank allreduce; every survivor agrees \
-               bit-identically) or $(b,coll-scale) (tree-vs-flat barrier \
-               latency at 64/256/1024 ranks; the ratio is recorded in \
-               the JSON metrics and gated). Only that scenario's gates \
-               decide the exit code.")
+         ~doc:("Run a single scenario instead of the full sweep, with the \
+                parameters the sweep uses: "
+               ^ String.concat ", " (List.map item Chaos.scenarios)
+               ^ ". Only that scenario's gates decide the exit code."))
 
 let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Fault-injection sweep: reliable delivery under drops, \
              corruption, flaps, PCI stalls, gateway crashes and live \
-             topology changes (rolling-restart, join-under-load, \
-             drain-under-load), plus standalone partition scenarios \
-             (partition-majority, coordinator-loss, partition-flapping).")
+             topology changes, plus standalone partition and collectives \
+             scenarios.")
     Term.(
       const chaos $ workload_arg $ quick_arg $ seed_arg $ jobs_arg $ json_arg)
 

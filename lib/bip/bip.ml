@@ -251,9 +251,6 @@ let recv t ~src ~tag ?len buf =
   if len < Netparams.bip_short_max then recv_short t ~src ~tag buf
   else recv_long t ~src ~tag buf
 
-let short_credits_available t ~dst =
-  Semaphore.available (credits t.net ~src:(rank t) ~dst)
-
 let probe t ~src ~tag =
   let short_ready =
     match Hashtbl.find_opt t.short_queues (src, tag) with

@@ -56,10 +56,6 @@ val recv : t -> src:int -> tag:int -> ?len:int -> Bytes.t -> int
     messages this pays the staging copy out of the preallocated buffer;
     long messages land directly. *)
 
-val short_credits_available : t -> dst:int -> int
-(** Remaining send window toward [dst] (for tests and flow-control
-    instrumentation). *)
-
 val probe : t -> src:int -> tag:int -> bool
 (** True if a message from [src] with [tag] could be received without
     blocking: a short message is buffered, or a long-message rendezvous

@@ -2,9 +2,12 @@
    the fault plane, checking that reliable delivery actually delivers —
    every received byte is compared against what was packed — while
    recording how much latency and bandwidth degrade under each injected
-   failure. All numbers in a report are simulated quantities, so a report
-   for a given seed and workload set is byte-identical across runs and
-   across worker counts (the jobs fan out over a {!Sweeps.runner}). *)
+   failure. Every scenario returns the same [result] shape (named
+   metrics plus named gates), so one table, one renderer and one gate
+   path serve the sweep, a single scenario and the bench sections. All
+   numbers are simulated quantities, so the output for a given seed is
+   byte-identical across runs and across worker counts (the jobs fan out
+   over a {!Sweeps.runner}). *)
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
@@ -16,199 +19,62 @@ module Channel = Madeleine.Channel
 module Mad = Madeleine.Api
 module Vc = Madeleine.Vchannel
 
-type row = {
-  scenario : string;
-  size : int;
-  drop_pct : float; (* per-link injected rate, percent *)
-  lat_us : float; (* one-way, averaged over the iterations *)
-  bw_mb_s : float;
-  drops : int; (* frames the plane decided to drop *)
-  corrupts : int; (* frames the plane corrupted in flight *)
-  dups : int; (* frames the plane delivered twice *)
-  delays : int; (* frames held back so later ones overtake *)
-  retransmissions : int;
-  crc_rejects : int;
-  intact : bool; (* every delivered message matched the packed bytes *)
+type value =
+  | Int of int
+  | Float of float
+  | Bool of bool
+  | Str of string
+  | List of value list
+  | Obj of (string * value) list
+
+type result = {
+  name : string;
+  metrics : (string * value) list;
+  gates : (string * bool) list;
 }
 
-type failover = {
-  fo_messages : int;
-  fo_size : int;
-  fo_crashed_gateway : int;
-  fo_route_after : int list;
-  fo_reroutes : int;
-  fo_reemitted : int;
-  fo_dup_drops : int;
-  fo_intact : bool;
-  fo_partitioned : bool; (* second crash really partitions the vchannel *)
-  fo_finish_us : float;
-}
+let metric r key = List.assoc key r.metrics
 
-(* Sliding-window payoff: the same one-way stream at the same drop
-   rate, once with the configured go-back-N window and once degraded to
-   stop-and-wait (window = 1). *)
-type goodput = {
-  gp_size : int;
-  gp_messages : int;
-  gp_drop_pct : float;
-  gp_window : int;
-  gp_window_mb_s : float;
-  gp_stopwait_mb_s : float;
-  gp_speedup : float; (* windowed / stop-and-wait *)
-  gp_intact : bool;
-}
+let int_metric r key =
+  match metric r key with
+  | Int n -> n
+  | _ -> invalid_arg ("Chaos.int_metric: " ^ key)
 
-(* Mid-stream node restarts on a single-gateway route: first the
-   gateway dies and comes back (origin logs replay through the route
-   hole), then the origin itself dies and comes back with a new crash
-   epoch (the session handshake restores its numbering). Every message
-   must reach the far side bit-identical, exactly once. *)
-type crash_restart = {
-  cr_messages : int; (* per phase; two phases *)
-  cr_size : int;
-  cr_gateway : int;
-  cr_restart_us : float;
-  cr_delivered : int;
-  cr_handshakes : int;
-  cr_reroutes : int;
-  cr_reemitted : int;
-  cr_dup_drops : int;
-  cr_exactly_once : bool;
-  cr_suspicions : (float * int * int * string * string * float) list;
-      (* (at_us, observer, peer, from, to, phi) *)
-  cr_flows : Vc.flow_stat list;
-  cr_finish_us : float;
-}
+let float_metric r key =
+  match metric r key with
+  | Float f -> f
+  | _ -> invalid_arg ("Chaos.float_metric: " ^ key)
 
-(* Overload: a sender at full tilt against a receiver whose drain rate
-   the fault plane caps two orders of magnitude lower. With credits
-   armed, the sender must end up blocked on the credit window (never
-   dropping, never queueing unboundedly): delivery stays bit-identical
-   and every instrumented buffering point stays under its configured
-   bound. *)
-type overload = {
-  ov_messages : int;
-  ov_size : int;
-  ov_credits : int;
-  ov_mtu : int;
-  ov_rx_cap_mb_s : float;
-  ov_clean_mb_s : float; (* same stream, no throttle *)
-  ov_throttled_mb_s : float;
-  ov_stalls : int;
-  ov_grants : int;
-  ov_probes : int;
-  ov_queues : Vc.queue_stat list;
-  ov_inbox_peak_bytes : int; (* tcp receive-side backlog, worst conn *)
-  ov_sendq_peak_frames : int;
-  ov_intact : bool;
-  ov_bounded : bool; (* every q_peak <= its q_bound *)
-  ov_finish_us : float;
-}
+let bool_metric r key =
+  match metric r key with
+  | Bool b -> b
+  | _ -> invalid_arg ("Chaos.bool_metric: " ^ key)
 
-(* Slow gateway: a two-segment route whose egress leg drains far slower
-   than the ingress leg can deliver. The bounded forwarding pool must
-   throttle the ingress to the egress bandwidth (hop-by-hop
-   backpressure, not gateway-side queueing), and the gateway must
-   report Overloaded through the sentinels while the pool is pinned at
-   its high watermark — then clear once the stream drains. *)
-type slow_gateway = {
-  sg_messages : int;
-  sg_size : int;
-  sg_credits : int;
-  sg_gw_pool : int;
-  sg_rx_cap_mb_s : float; (* egress receiver's capped drain rate *)
-  sg_ingress_mb_s : float; (* sustained end-to-end rate through the gw *)
-  sg_overload_events : int;
-  sg_overload_reported : bool; (* Overloaded seen via peer_status/sentinel *)
-  sg_overload_cleared : bool; (* no gateway still overloaded at the end *)
-  sg_queues : Vc.queue_stat list;
-  sg_intact : bool;
-  sg_bounded : bool;
-  sg_finish_us : float;
-}
+let ints l = List (List.map (fun i -> Int i) l)
 
-(* Scheduled aggregation under loss: concurrent small-message logical
-   flows on a sched=aggreg vchannel crossing a lossy gateway route.
-   Delivery must stay bit-identical per flow while the scheduler
-   actually merges — an aggregate lost on the wire is retransmitted as
-   one unit by the go-back-N machinery. *)
-type sched_chaos = {
-  sc_flows : int;
-  sc_messages : int; (* per flow *)
-  sc_size : int;
-  sc_drop_pct : float;
-  sc_merged : int; (* frames that shared their wire packet *)
-  sc_aggregates : int;
-  sc_mean_frames : float;
-  sc_flush_full : int;
-  sc_flush_deadline : int;
-  sc_flush_flow : int;
-  sc_reemitted : int;
-  sc_dup_drops : int;
-  sc_intact : bool;
-  sc_finish_us : float;
-}
+(* An unbounded queue has an infinite bound (null in JSON). *)
+let queues_value queues =
+  List
+    (List.map
+       (fun q ->
+         Obj
+           [
+             ("point", Str q.Vc.q_point);
+             ("node", Int q.Vc.q_node);
+             ("peer", Int q.Vc.q_peer);
+             ("peak", Int q.Vc.q_peak);
+             ( "bound",
+               match q.Vc.q_bound with
+               | Some v -> Int v
+               | None -> Float Float.infinity );
+           ])
+       queues)
 
-(* Rolling restart on a live-topology vchannel: every rank of the
-   redundant-gateway world leaves and comes back mid-sweep — the
-   gateways and the receiver drain, restart and rejoin under their own
-   epochs; the coordinator (also the sender) rides a crash-epoch
-   restart. Delivery must stay exactly-once and bit-identical, no data
-   flow may observe Partitioned, and every queue stays under its
-   bound. *)
-type rolling_restart = {
-  rr_messages : int; (* per phase; two phases *)
-  rr_size : int;
-  rr_restarted : int list; (* every rank, in roll order *)
-  rr_epoch_start : int;
-  rr_epoch_final : int;
-  rr_joins : int; (* epoch swaps that re-admitted a rank *)
-  rr_drains : int; (* epoch swaps that removed a rank *)
-  rr_delivered : int;
-  rr_dup_deliveries : int; (* messages the application saw twice *)
-  rr_reroutes : int;
-  rr_reemitted : int;
-  rr_dup_drops : int; (* wire-level duplicates the rel plane dropped *)
-  rr_handshakes : int;
-  rr_queues : Vc.queue_stat list;
-  rr_partitioned : bool; (* a data flow observed Partitioned *)
-  rr_exactly_once : bool;
-  rr_bounded : bool;
-  rr_finish_us : float;
-}
-
-(* Elastic membership under load: one rank joins (or drains) while
-   unrelated flows stream through the vchannel. Shared shape for the
-   join-under-load and drain-under-load scenarios, told apart by
-   [el_op]. *)
-type elastic = {
-  el_op : string; (* "join" or "drain" *)
-  el_messages : int;
-  el_size : int;
-  el_rank : int; (* the rank that joined / drained *)
-  el_epoch_final : int;
-  el_routable : bool; (* join: rank reachable; drain: rank off every route *)
-  el_status : string; (* peer_status toward the rank after the swap *)
-  el_watched : bool; (* some sentinel still probes the rank *)
-  el_partitioned : bool; (* an in-flight flow observed Partitioned *)
-  el_intact : bool;
-  el_finish_us : float;
-}
-
-type report = {
-  rep_seed : int;
-  rep_quick : bool;
-  rep_rows : row list;
-  rep_failover : failover;
-  rep_goodput : goodput;
-  rep_crash : crash_restart;
-  rep_overload : overload;
-  rep_slow_gateway : slow_gateway;
-  rep_sched : sched_chaos;
-  rep_rolling : rolling_restart;
-  rep_join : elastic;
-  rep_drain : elastic;
-}
+let bounded_queues queues =
+  List.for_all
+    (fun q ->
+      match q.Vc.q_bound with Some b -> q.Vc.q_peak <= b | None -> true)
+    queues
 
 (* ------------------------------------------------------------------ *)
 (* A two-node TCP world with a fault plane attached. *)
@@ -244,6 +110,42 @@ let faulty_tcp_world ~seed ~drop ~corrupt =
   let channel = Channel.create session driver ~ranks:[ 0; 1 ] () in
   { fw_engine = engine; fw_faults = faults; fw_net = net;
     fw_channel = channel; fw_nodes = nodes }
+
+(* Two Ethernet segments "ethA" and "ethB" over the rank lists [a] and
+   [b] (the ranks in both are the gateways), both under one fault
+   plane. [setup] configures the plane once every node is attached,
+   before the transports come up. *)
+let segments_world ~seed ~a ~b ?(setup = fun _ -> ()) () =
+  let engine = Engine.create () in
+  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
+  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
+  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
+  Fabric.set_faults fab_a faults;
+  Fabric.set_faults fab_b faults;
+  let nodes =
+    Array.init
+      (1 + List.fold_left max 0 (a @ b))
+      (fun i -> Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
+  in
+  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) a;
+  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) b;
+  setup faults;
+  let net_a = Tcpnet.make_net engine fab_a in
+  let net_b = Tcpnet.make_net engine fab_b in
+  let stacks net ranks =
+    let t = Hashtbl.create 4 in
+    List.iter (fun i -> Hashtbl.add t i (Tcpnet.attach net nodes.(i))) ranks;
+    Hashtbl.find t
+  in
+  let stacks_a = stacks net_a a in
+  let stacks_b = stacks net_b b in
+  let session = Madeleine.Session.create engine in
+  let channel st ranks =
+    Channel.create session (Madeleine.Pmm_tcp.driver st) ~ranks ()
+  in
+  let ch_a = channel stacks_a a in
+  let ch_b = channel stacks_b b in
+  (engine, faults, session, [ ch_a; ch_b ])
 
 (* Ping-pong with end-to-end integrity verification: both directions
    compare the unpacked bytes against the packed payload. *)
@@ -282,22 +184,29 @@ let verified_pingpong w ~size ~iters =
 
 let iters_for size = if size <= 4096 then 6 else 4
 
+(* One point of the fault grid: the [rows-intact] gate of the whole grid
+   is the conjunction of the points' gates (see [collect_rows]). *)
 let finish_row ~scenario ~drop ~size w (span, intact) =
   let st = Faults.stats w.fw_faults in
   let retransmissions, crc_rejects = Tcpnet.net_stats w.fw_net in
   {
-    scenario;
-    size;
-    drop_pct = drop *. 100.0;
-    lat_us = Time.to_us span;
-    bw_mb_s = Time.rate_mb_s ~bytes_count:size span;
-    drops = st.Faults.frames_dropped;
-    corrupts = st.Faults.frames_corrupted;
-    dups = st.Faults.frames_duplicated;
-    delays = st.Faults.frames_delayed;
-    retransmissions;
-    crc_rejects;
-    intact;
+    name = "rows";
+    metrics =
+      [
+        ("scenario", Str scenario);
+        ("size", Int size);
+        ("drop_pct", Float (drop *. 100.0));
+        ("lat_us", Float (Time.to_us span));
+        ("bw_mb_s", Float (Time.rate_mb_s ~bytes_count:size span));
+        ("drops", Int st.Faults.frames_dropped);
+        ("corrupts", Int st.Faults.frames_corrupted);
+        ("dups", Int st.Faults.frames_duplicated);
+        ("delays", Int st.Faults.frames_delayed);
+        ("retransmissions", Int retransmissions);
+        ("crc_rejects", Int crc_rejects);
+        ("intact", Bool intact);
+      ];
+    gates = [ ("rows-intact", intact) ];
   }
 
 let drop_row ~seed ~drop ~size =
@@ -343,6 +252,69 @@ let stall_row ~seed ~size =
   finish_row ~scenario:"pci-stall" ~drop:0.0 ~size w
     (verified_pingpong w ~size ~iters:4)
 
+(* The grid's points as one result: each lossy point also records its
+   latency against the clean (0%) drop point of the same size. *)
+let collect_rows points =
+  let clean_lat size =
+    List.find_map
+      (fun p ->
+        if metric p "scenario" = Str "drop"
+           && float_metric p "drop_pct" = 0.0
+           && int_metric p "size" = size
+        then Some (float_metric p "lat_us")
+        else None)
+      points
+  in
+  let row p =
+    match clean_lat (int_metric p "size") with
+    | Some base when float_metric p "drop_pct" > 0.0 && base > 0.0 ->
+        let vs_clean = float_metric p "lat_us" /. base in
+        Obj (p.metrics @ [ ("vs_clean", Float vs_clean) ])
+    | _ -> Obj p.metrics
+  in
+  {
+    name = "rows";
+    metrics = [ ("rows", List (List.map row points)) ];
+    gates =
+      [
+        ( "rows-intact",
+          List.for_all (fun p -> List.for_all snd p.gates) points );
+      ];
+  }
+
+(* Stop-and-wait retransmission gives up after 12 attempts, so the
+   per-frame survival probability bounds which (rate, size) points can
+   complete: at 5% per link a frame of a dozen or more MTU fragments
+   (crossing two faulty endpoints) dies often enough that twelve
+   consecutive losses become likely, so the heaviest rate is swept only
+   over single-digit-fragment messages rather than reported dead. *)
+let grid_jobs ~seed ~quick =
+  let rates = if quick then [ 0.0; 0.01 ] else [ 0.0; 0.005; 0.01; 0.05 ] in
+  let sizes =
+    if quick then [ 4; 4096; 16384 ] else [ 4; 256; 4096; 16384; 65536 ]
+  in
+  List.concat_map
+    (fun drop ->
+      List.filter_map
+        (fun size ->
+          if drop >= 0.05 && size > 4096 then None
+          else
+            Some
+              ( Printf.sprintf "chaos/drop-%.1f%%/%d" (drop *. 100.0) size,
+                fun () -> drop_row ~seed ~drop ~size ))
+        sizes)
+    rates
+  @ List.map
+      (fun size ->
+        ( Printf.sprintf "chaos/corrupt-2.0%%/%d" size,
+          fun () -> corrupt_row ~seed ~rate:0.02 ~size ))
+      (if quick then [ 16384 ] else [ 4096; 16384 ])
+  @ [
+      ("chaos/flap", fun () -> flap_row ~seed ~size:16384);
+      ("chaos/reorder", fun () -> reorder_row ~seed ~size:16384);
+      ("chaos/pci-stall", fun () -> stall_row ~seed ~size:65536);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Gateway failover: rank 0 talks to rank 3 across two Ethernet
    segments joined by two redundant gateways (ranks 1 and 2). The
@@ -351,43 +323,10 @@ let stall_row ~seed ~size =
    Crashing the second gateway then partitions the virtual channel. *)
 
 let failover_run ~seed ~size ~messages =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a =
-    Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet
+  let engine, faults, session, chans =
+    segments_world ~seed ~a:[ 0; 1; 2 ] ~b:[ 1; 2; 3 ] ()
   in
-  let fab_b =
-    Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet
-  in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1; 2 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2; 3 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1; 2 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2; 3 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2; 3 ] ()
-  in
-  let vc = Vc.create session ~mtu:4096 ~faults [ ch_a; ch_b ] in
+  let vc = Vc.create session ~mtu:4096 ~faults chans in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let other_gw = if gw = 1 then 2 else 1 in
   let data = Harness.payload size 11L in
@@ -419,20 +358,28 @@ let failover_run ~seed ~size ~messages =
       | exception Vc.Partitioned _ -> partitioned := true
       | _oc -> ()));
   Engine.run engine;
-  let stats =
-    match Vc.rel_stats vc with Some s -> s | None -> assert false
-  in
+  let stats = Option.get (Vc.rel_stats vc) in
   {
-    fo_messages = messages;
-    fo_size = size;
-    fo_crashed_gateway = gw;
-    fo_route_after = !route_after;
-    fo_reroutes = stats.Vc.reroutes;
-    fo_reemitted = stats.Vc.reemitted;
-    fo_dup_drops = stats.Vc.dup_drops;
-    fo_intact = !intact;
-    fo_partitioned = !partitioned;
-    fo_finish_us = Time.to_us !finish;
+    name = "failover";
+    metrics =
+      [
+        ("messages", Int messages);
+        ("size", Int size);
+        ("crashed_gateway", Int gw);
+        ("route_after", ints !route_after);
+        ("reroutes", Int stats.Vc.reroutes);
+        ("reemitted", Int stats.Vc.reemitted);
+        ("dup_drops", Int stats.Vc.dup_drops);
+        ("intact", Bool !intact);
+        ("partitioned_after_second_crash", Bool !partitioned);
+        ("finish_us", Float (Time.to_us !finish));
+      ];
+    gates =
+      [
+        ("failover-intact", !intact);
+        ("failover-partition-detected", !partitioned);
+        ("failover-rerouted", stats.Vc.reroutes >= 1);
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -457,10 +404,7 @@ let goodput_one ~seed ~size ~messages ~window ~drop =
   let net = Tcpnet.make_net ~window engine fabric in
   let s0 = Tcpnet.attach net nodes.(0) and s1 = Tcpnet.attach net nodes.(1) in
   let c0, c1 = Tcpnet.socketpair s0 s1 in
-  let payload m =
-    let p = Harness.payload size (Int64.of_int (200 + m)) in
-    p
-  in
+  let payload m = Harness.payload size (Int64.of_int (200 + m)) in
   let intact = ref true in
   let finish = ref Time.zero in
   Engine.spawn engine ~name:"gp-send" (fun () ->
@@ -480,16 +424,27 @@ let goodput_one ~seed ~size ~messages ~window ~drop =
 let goodput_run ~seed ~size ~messages ~window ~drop =
   let window_mb_s, ok_w = goodput_one ~seed ~size ~messages ~window ~drop in
   let stopwait_mb_s, ok_s = goodput_one ~seed ~size ~messages ~window:1 ~drop in
+  let speedup =
+    if stopwait_mb_s > 0.0 then window_mb_s /. stopwait_mb_s else 0.0
+  in
   {
-    gp_size = size;
-    gp_messages = messages;
-    gp_drop_pct = drop *. 100.0;
-    gp_window = window;
-    gp_window_mb_s = window_mb_s;
-    gp_stopwait_mb_s = stopwait_mb_s;
-    gp_speedup =
-      (if stopwait_mb_s > 0.0 then window_mb_s /. stopwait_mb_s else 0.0);
-    gp_intact = ok_w && ok_s;
+    name = "goodput";
+    metrics =
+      [
+        ("size", Int size);
+        ("messages", Int messages);
+        ("drop_pct", Float (drop *. 100.0));
+        ("window", Int window);
+        ("window_mb_s", Float window_mb_s);
+        ("stopwait_mb_s", Float stopwait_mb_s);
+        ("speedup", Float speedup);
+        ("intact", Bool (ok_w && ok_s));
+      ];
+    gates =
+      [
+        ("goodput-intact", ok_w && ok_s);
+        ("goodput-window-speedup", speedup >= 2.0);
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -503,39 +458,10 @@ let goodput_run ~seed ~size ~messages ~window ~drop =
    must be exactly-once, bit-identical, across both restarts. *)
 
 let crash_restart_run ~seed ~size ~messages =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 3 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
+  let engine, faults, session, chans =
+    segments_world ~seed ~a:[ 0; 1 ] ~b:[ 1; 2 ] ()
   in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2 ] ()
-  in
-  let vc = Vc.create session ~mtu:4096 ~faults [ ch_a; ch_b ] in
+  let vc = Vc.create session ~mtu:4096 ~faults chans in
   let restart = Time.us 5_000.0 in
   let total = 2 * messages in
   let payload_of m =
@@ -581,33 +507,60 @@ let crash_restart_run ~seed ~size ~messages =
       done;
       finish := Engine.now engine);
   Engine.run engine;
-  let stats = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let stats = Option.get (Vc.rel_stats vc) in
   let suspicions =
+    let module S = Madeleine.Sentinel in
     List.map
       (fun (observer, ev) ->
-        ( Time.to_us (Time.diff ev.Madeleine.Sentinel.ev_at Time.zero),
-          observer,
-          ev.Madeleine.Sentinel.ev_peer,
-          Madeleine.Sentinel.state_name ev.Madeleine.Sentinel.ev_from,
-          Madeleine.Sentinel.state_name ev.Madeleine.Sentinel.ev_to,
-          ev.Madeleine.Sentinel.ev_phi ))
+        Obj
+          [
+            ("at_us", Float (Time.to_us (Time.diff ev.S.ev_at Time.zero)));
+            ("observer", Int observer);
+            ("peer", Int ev.S.ev_peer);
+            ("from", Str (S.state_name ev.S.ev_from));
+            ("to", Str (S.state_name ev.S.ev_to));
+            ("phi", Float ev.S.ev_phi);
+          ])
       (Vc.suspicion_timeline vc)
   in
+  let flows =
+    List.map
+      (fun fs ->
+        Obj
+          [
+            ("src", Int fs.Vc.flow_src);
+            ("dst", Int fs.Vc.flow_dst);
+            ("sent", Int fs.Vc.sent);
+            ("unacked", Int fs.Vc.unacked);
+            ("delivered", Int fs.Vc.delivered);
+          ])
+      (Vc.flow_stats vc)
+  in
+  let exactly_once = !intact && Array.for_all (fun n -> n = 1) received in
   {
-    cr_messages = messages;
-    cr_size = size;
-    cr_gateway = 1;
-    cr_restart_us = Time.to_us restart;
-    cr_delivered = Array.fold_left ( + ) 0 received;
-    cr_handshakes = stats.Vc.handshakes;
-    cr_reroutes = stats.Vc.reroutes;
-    cr_reemitted = stats.Vc.reemitted;
-    cr_dup_drops = stats.Vc.dup_drops;
-    cr_exactly_once =
-      !intact && Array.for_all (fun n -> n = 1) received;
-    cr_suspicions = suspicions;
-    cr_flows = Vc.flow_stats vc;
-    cr_finish_us = Time.to_us !finish;
+    name = "crash-restart";
+    metrics =
+      [
+        ("messages_per_phase", Int messages);
+        ("size", Int size);
+        ("gateway", Int 1);
+        ("restart_us", Float (Time.to_us restart));
+        ("delivered", Int (Array.fold_left ( + ) 0 received));
+        ("handshakes", Int stats.Vc.handshakes);
+        ("reroutes", Int stats.Vc.reroutes);
+        ("reemitted", Int stats.Vc.reemitted);
+        ("dup_drops", Int stats.Vc.dup_drops);
+        ("exactly_once", Bool exactly_once);
+        ("finish_us", Float (Time.to_us !finish));
+        ("suspicion_events", Int (List.length suspicions));
+        ("suspicions", List suspicions);
+        ("flows", List flows);
+      ];
+    gates =
+      [
+        ("crash-restart-exactly-once", exactly_once);
+        ("crash-restart-handshake", stats.Vc.handshakes >= 1);
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -617,41 +570,11 @@ let crash_restart_run ~seed ~size ~messages =
    back into the session while traffic flows. *)
 
 let elastic_world ~seed =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1; 2 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2; 3 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1; 2 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2; 3 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2; 3 ] ()
+  let engine, faults, session, chans =
+    segments_world ~seed ~a:[ 0; 1; 2 ] ~b:[ 1; 2; 3 ] ()
   in
   let vc =
-    Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0
-      [ ch_a; ch_b ]
+    Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0 chans
   in
   (engine, faults, vc)
 
@@ -673,6 +596,12 @@ let some_sentinel_watches vc ~ranks ~rank =
       | None -> false)
     ranks
 
+(* Rolling restart: every rank of the redundant-gateway world leaves and
+   comes back mid-sweep — the gateways and the receiver drain, restart
+   and rejoin under their own epochs; the coordinator (also the sender)
+   rides a crash-epoch restart. Delivery must stay exactly-once and
+   bit-identical, no data flow may observe Partitioned, and every queue
+   stays under its bound. *)
 let rolling_restart_run ~seed ~size ~messages =
   let engine, faults, vc = elastic_world ~seed in
   let total = 2 * messages in
@@ -758,39 +687,91 @@ let rolling_restart_run ~seed ~size ~messages =
       rolled := !rolled @ [ 0 ];
       phase2_go := true);
   Engine.run engine;
-  let stats = match Vc.rel_stats vc with Some s -> s | None -> assert false in
-  let topo =
-    match Vc.topology_stats vc with Some s -> s | None -> assert false
-  in
+  let stats = Option.get (Vc.rel_stats vc) in
+  let topo = Option.get (Vc.topology_stats vc) in
   let queues = Vc.queue_stats vc in
-  let bounded =
-    List.for_all
-      (fun q ->
-        match q.Vc.q_bound with Some b -> q.Vc.q_peak <= b | None -> true)
-      queues
+  let bounded = bounded_queues queues in
+  let delivered_total = Array.fold_left ( + ) 0 received in
+  let dup_deliveries =
+    Array.fold_left (fun acc n -> acc + max 0 (n - 1)) 0 received
   in
+  let exactly_once = !intact && Array.for_all (fun n -> n = 1) received in
   {
-    rr_messages = messages;
-    rr_size = size;
-    rr_restarted = !rolled;
-    rr_epoch_start = epoch_start;
-    rr_epoch_final = topo.Vc.topo_epoch;
-    rr_joins = topo.Vc.topo_joins;
-    rr_drains = topo.Vc.topo_drains;
-    rr_delivered = Array.fold_left ( + ) 0 received;
-    rr_dup_deliveries =
-      Array.fold_left (fun acc n -> acc + max 0 (n - 1)) 0 received;
-    rr_reroutes = stats.Vc.reroutes;
-    rr_reemitted = stats.Vc.reemitted;
-    rr_dup_drops = stats.Vc.dup_drops;
-    rr_handshakes = stats.Vc.handshakes;
-    rr_queues = queues;
-    rr_partitioned = !partitioned;
-    rr_exactly_once = !intact && Array.for_all (fun n -> n = 1) received;
-    rr_bounded = bounded;
-    rr_finish_us = Time.to_us !finish;
+    name = "rolling-restart";
+    metrics =
+      [
+        ("messages_per_phase", Int messages);
+        ("size", Int size);
+        ("restarted", ints !rolled);
+        ("epoch_start", Int epoch_start);
+        ("epoch_final", Int topo.Vc.topo_epoch);
+        ("joins", Int topo.Vc.topo_joins);
+        ("drains", Int topo.Vc.topo_drains);
+        ("delivered", Int delivered_total);
+        ("dup_deliveries", Int dup_deliveries);
+        ("reroutes", Int stats.Vc.reroutes);
+        ("reemitted", Int stats.Vc.reemitted);
+        ("dup_drops", Int stats.Vc.dup_drops);
+        ("handshakes", Int stats.Vc.handshakes);
+        ("partitioned", Bool !partitioned);
+        ("exactly_once", Bool exactly_once);
+        ("bounded", Bool bounded);
+        ("finish_us", Float (Time.to_us !finish));
+        ("queues", queues_value queues);
+      ];
+    gates =
+      [
+        ("rolling-restart-exactly-once", exactly_once);
+        ( "rolling-restart-no-dup-deliveries",
+          dup_deliveries = 0 && delivered_total = 2 * messages );
+        ("rolling-restart-no-partition", not !partitioned);
+        ("rolling-restart-queues-bounded", bounded);
+        ( "rolling-restart-epochs-advanced",
+          topo.Vc.topo_joins >= 3 && topo.Vc.topo_drains >= 3
+          && topo.Vc.topo_epoch >= epoch_start + 6 );
+      ];
   }
 
+(* Elastic membership under load: one rank joins (or drains) while
+   unrelated flows stream through the vchannel. [op] names the
+   scenario ("join" or "drain"); [routable] is the scenario's own
+   routing expectation (join: rank reachable; drain: rank off every
+   route) and [status] the peer_status toward the rank afterwards. *)
+let elastic_result ~op ~messages ~size ~rank ~routable ~status ~watched
+    ~partitioned ~intact ~finish vc =
+  let name = op ^ "-under-load" in
+  {
+    name;
+    metrics =
+      [
+        ("op", Str op);
+        ("messages", Int messages);
+        ("size", Int size);
+        ("rank", Int rank);
+        ("epoch_final", Int (epoch_of vc));
+        ("routable", Bool routable);
+        ("status", Str status);
+        ("watched", Bool watched);
+        ("partitioned", Bool partitioned);
+        ("intact", Bool intact);
+        ("finish_us", Float (Time.to_us finish));
+      ];
+    gates =
+      [
+        (name ^ "-no-partition", (not partitioned) && intact);
+        (if op = "join" then
+           ( "join-under-load-routable",
+             routable && status = "up" && watched )
+         else
+           ( "drain-under-load-forgotten",
+             routable && status = "departed" && not watched ));
+      ];
+  }
+
+(* Join-under-load: rank 3 drains before any traffic, a background
+   stream runs 0 -> 1, and rank 3 rejoins mid-stream — becoming routable
+   without quiescing the background flow — after which a fresh 0 -> 3
+   stream completes. *)
 let join_load_run ~seed ~size ~messages =
   let engine, _faults, vc = elastic_world ~seed in
   let payload m = Harness.payload size (Int64.of_int (400 + m)) in
@@ -858,20 +839,15 @@ let join_load_run ~seed ~size ~messages =
     | [] -> false
     | exception _ -> false
   in
-  {
-    el_op = "join";
-    el_messages = messages;
-    el_size = size;
-    el_rank = 3;
-    el_epoch_final = epoch_of vc;
-    el_routable = routable;
-    el_status = health_name (Vc.peer_status vc ~src:0 ~dst:3);
-    el_watched = some_sentinel_watches vc ~ranks:[ 0; 1; 2 ] ~rank:3;
-    el_partitioned = !partitioned;
-    el_intact = !intact;
-    el_finish_us = Time.to_us !finish;
-  }
+  elastic_result ~op:"join" ~messages ~size ~rank:3 ~routable
+    ~status:(health_name (Vc.peer_status vc ~src:0 ~dst:3))
+    ~watched:(some_sentinel_watches vc ~ranks:[ 0; 1; 2 ] ~rank:3)
+    ~partitioned:!partitioned ~intact:!intact ~finish:!finish vc
 
+(* Drain-under-load: the on-route gateway of a live 0 -> 3 stream
+   drains mid-sweep; the stream must reroute through the spare with
+   exactly-once delivery and no Partitioned, and the drained rank must
+   end up off every route, Departed and forgotten by every sentinel. *)
 let drain_load_run ~seed ~size ~messages =
   let engine, _faults, vc = elastic_world ~seed in
   let payload_of m =
@@ -922,22 +898,15 @@ let drain_load_run ~seed ~size ~messages =
     | hops -> not (List.mem gw hops)
     | exception _ -> false
   in
-  {
-    el_op = "drain";
-    el_messages = messages;
-    el_size = size;
-    el_rank = gw;
-    el_epoch_final = epoch_of vc;
-    el_routable = off_route;
-    el_status = health_name (Vc.peer_status vc ~src:0 ~dst:gw);
-    el_watched =
-      some_sentinel_watches vc
-        ~ranks:(List.filter (fun r -> r <> gw) [ 0; 1; 2; 3 ])
-        ~rank:gw;
-    el_partitioned = !partitioned;
-    el_intact = !intact && Array.for_all (fun n -> n = 1) received;
-    el_finish_us = Time.to_us !finish;
-  }
+  elastic_result ~op:"drain" ~messages ~size ~rank:gw ~routable:off_route
+    ~status:(health_name (Vc.peer_status vc ~src:0 ~dst:gw))
+    ~watched:
+      (some_sentinel_watches vc
+         ~ranks:(List.filter (fun r -> r <> gw) [ 0; 1; 2; 3 ])
+         ~rank:gw)
+    ~partitioned:!partitioned
+    ~intact:(!intact && Array.for_all (fun n -> n = 1) received)
+    ~finish:!finish vc
 
 (* ------------------------------------------------------------------ *)
 (* Partition chaos: four ranks on one Ethernet segment with the
@@ -946,25 +915,6 @@ let drain_load_run ~seed ~size ~messages =
    coordinator ever commits an epoch, the majority side keeps its
    goodput during the cut, the minority surfaces typed errors instead
    of hanging, and post-heal delivery is exactly-once. *)
-
-type partition_chaos = {
-  pt_workload : string;
-  pt_messages : int;
-  pt_size : int;
-  pt_cycles : int; (* partition/heal cycles injected *)
-  pt_coordinator_before : int;
-  pt_coordinator_after : int; (* -1 = no committed coordinator *)
-  pt_elections : int;
-  pt_epochs_unique : bool;
-  pt_reelect_latency_us : float;
-  pt_cut_delivered : int;
-  pt_minority_typed : bool;
-  pt_pending_after : int;
-  pt_members_final : int list;
-  pt_reemitted : int;
-  pt_exactly_once : bool;
-  pt_finish_us : float;
-}
 
 let election_world ~seed =
   let engine = Engine.create () in
@@ -1010,12 +960,7 @@ let members_of vc =
   | Some snap -> List.sort compare (Madeleine.Topology.ranks snap)
   | None -> []
 
-let election_summary vc =
-  match Vc.election_stats vc with Some s -> s | None -> assert false
-
-let commit_epochs_unique (s : Vc.election_stats) =
-  let epochs = List.map fst s.Vc.commits in
-  List.sort_uniq compare epochs = List.sort compare epochs
+let coordinator_of vc = match Vc.coordinator vc with Some c -> c | None -> -1
 
 (* A deadline-bounded condition wait, so a broken invariant trips a
    gate instead of hanging the harness. *)
@@ -1076,6 +1021,72 @@ let pt_stream engine vc ~tag ~src ~dst ~size ~messages ?(gate = ref true)
       done);
   fun () -> !intact && Array.for_all (fun n -> n = 1) received
 
+(* The outcome of one partition workload, read off the vchannel once the
+   run is over. Gate names carry the workload's name: five shared
+   invariants, then the workload's own seat / re-election / flap
+   gates. *)
+let partition_result ~name ~messages ~size ~cycles ~coordinator_before
+    ~cut_delivered ~minority_typed ~exactly_once ~finish vc =
+  let stats = Option.get (Vc.election_stats vc) in
+  let rel = Option.get (Vc.rel_stats vc) in
+  let coordinator_after = coordinator_of vc in
+  let members = members_of vc in
+  let epochs = List.map fst stats.Vc.commits in
+  let epochs_unique = List.sort_uniq compare epochs = List.sort compare epochs in
+  let gate what ok = (name ^ ": " ^ what, ok) in
+  {
+    name;
+    metrics =
+      [
+        ("messages", Int messages);
+        ("size", Int size);
+        ("cycles", Int cycles);
+        ("coordinator_before", Int coordinator_before);
+        ("coordinator_after", Int coordinator_after);
+        ("elections", Int stats.Vc.elections);
+        ("epochs_unique", Bool epochs_unique);
+        ("reelect_latency_us", Float stats.Vc.last_latency_us);
+        ("cut_delivered", Int cut_delivered);
+        ("minority_typed", Bool minority_typed);
+        ("pending_after", Int stats.Vc.pending);
+        ("members_final", ints members);
+        ("reemitted", Int rel.Vc.reemitted);
+        ("exactly_once", Bool exactly_once);
+        ("finish_us", Float (Time.to_us finish));
+      ];
+    gates =
+      [
+        gate "at most one coordinator committed per epoch" epochs_unique;
+        gate "majority goodput continued during the cut" (cut_delivered > 0);
+        gate "minority surfaced typed errors, never hung" minority_typed;
+        gate "no intent left parked after the heal" (stats.Vc.pending = 0);
+        gate "post-heal delivery exactly-once, bit-identical" exactly_once;
+      ]
+      @
+      match name with
+      | "partition-majority" ->
+          [
+            gate "coordinator seat never moved"
+              (coordinator_after = coordinator_before);
+            gate "heal replayed the parked join" (members = [ 0; 1; 2; 3 ]);
+          ]
+      | "coordinator-loss" ->
+          [
+            gate "majority elected a replacement coordinator"
+              (stats.Vc.elections >= 1
+              && coordinator_after >= 0
+              && coordinator_after <> coordinator_before);
+            gate "re-election latency measured"
+              (stats.Vc.last_latency_us > 0.0);
+          ]
+      | _ ->
+          [
+            gate "every flap forced a committed re-election"
+              (stats.Vc.elections >= cycles);
+            gate "membership survived the flapping" (members = [ 0; 1; 2; 3 ]);
+          ];
+  }
+
 (* The majority keeps working while a non-member host is cut off: rank 3
    drains cleanly, the cut isolates its (now outsider) host, a
    mid-stream 0 -> 1 flow keeps delivering, the cut-side join parks with
@@ -1085,9 +1096,7 @@ let partition_majority_run ~seed ~size ~messages =
   let engine, faults, vc = election_world ~seed in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
-  let coordinator_before =
-    match Vc.coordinator vc with Some c -> c | None -> -1
-  in
+  let coordinator_before = coordinator_of vc in
   let cut_active = ref false in
   let cut_delivered = ref 0 in
   let bg_delivered = ref 0 in
@@ -1138,27 +1147,10 @@ let partition_majority_run ~seed ~size ~messages =
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
-  let stats = election_summary vc in
-  let rel = match Vc.rel_stats vc with Some s -> s | None -> assert false in
-  {
-    pt_workload = "partition-majority";
-    pt_messages = messages;
-    pt_size = size;
-    pt_cycles = 1;
-    pt_coordinator_before = coordinator_before;
-    pt_coordinator_after =
-      (match Vc.coordinator vc with Some c -> c | None -> -1);
-    pt_elections = stats.Vc.elections;
-    pt_epochs_unique = commit_epochs_unique stats;
-    pt_reelect_latency_us = stats.Vc.last_latency_us;
-    pt_cut_delivered = !cut_delivered;
-    pt_minority_typed = !minority_typed;
-    pt_pending_after = stats.Vc.pending;
-    pt_members_final = members_of vc;
-    pt_reemitted = rel.Vc.reemitted;
-    pt_exactly_once = bg_ok () && fg_ok ();
-    pt_finish_us = Time.to_us !finish;
-  }
+  partition_result ~name:"partition-majority" ~messages ~size ~cycles:1
+    ~coordinator_before ~cut_delivered:!cut_delivered
+    ~minority_typed:!minority_typed ~exactly_once:(bg_ok () && fg_ok ())
+    ~finish:!finish vc
 
 (* The coordinator itself is cut off: the majority elects its lowest
    member and keeps its goodput, the isolated old seat sees typed
@@ -1168,9 +1160,7 @@ let coordinator_loss_run ~seed ~size ~messages =
   let engine, faults, vc = election_world ~seed in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
-  let coordinator_before =
-    match Vc.coordinator vc with Some c -> c | None -> -1
-  in
+  let coordinator_before = coordinator_of vc in
   let cut_active = ref false in
   let cut_delivered = ref 0 in
   let bg_delivered = ref 0 in
@@ -1224,27 +1214,10 @@ let coordinator_loss_run ~seed ~size ~messages =
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
-  let stats = election_summary vc in
-  let rel = match Vc.rel_stats vc with Some s -> s | None -> assert false in
-  {
-    pt_workload = "coordinator-loss";
-    pt_messages = messages;
-    pt_size = size;
-    pt_cycles = 1;
-    pt_coordinator_before = coordinator_before;
-    pt_coordinator_after =
-      (match Vc.coordinator vc with Some c -> c | None -> -1);
-    pt_elections = stats.Vc.elections;
-    pt_epochs_unique = commit_epochs_unique stats;
-    pt_reelect_latency_us = stats.Vc.last_latency_us;
-    pt_cut_delivered = !cut_delivered;
-    pt_minority_typed = !minority_typed;
-    pt_pending_after = stats.Vc.pending;
-    pt_members_final = members_of vc;
-    pt_reemitted = rel.Vc.reemitted;
-    pt_exactly_once = bg_ok () && fg_ok ();
-    pt_finish_us = Time.to_us !finish;
-  }
+  partition_result ~name:"coordinator-loss" ~messages ~size ~cycles:1
+    ~coordinator_before ~cut_delivered:!cut_delivered
+    ~minority_typed:!minority_typed ~exactly_once:(bg_ok () && fg_ok ())
+    ~finish:!finish vc
 
 (* Repeated cut/heal cycles, each isolating whoever holds the seat: the
    coordinator flip-flops between the two lowest ranks, every cycle
@@ -1255,9 +1228,7 @@ let partition_flapping_run ~seed ~size ~messages ~cycles =
   let engine, faults, vc = election_world ~seed in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
-  let coordinator_before =
-    match Vc.coordinator vc with Some c -> c | None -> -1
-  in
+  let coordinator_before = coordinator_of vc in
   let cut_active = ref false in
   let cut_delivered = ref 0 in
   let bg_done = ref false in
@@ -1298,84 +1269,19 @@ let partition_flapping_run ~seed ~size ~messages ~cycles =
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
-  let stats = election_summary vc in
-  let rel = match Vc.rel_stats vc with Some s -> s | None -> assert false in
-  {
-    pt_workload = "partition-flapping";
-    pt_messages = total;
-    pt_size = size;
-    pt_cycles = cycles;
-    pt_coordinator_before = coordinator_before;
-    pt_coordinator_after =
-      (match Vc.coordinator vc with Some c -> c | None -> -1);
-    pt_elections = stats.Vc.elections;
-    pt_epochs_unique = commit_epochs_unique stats;
-    pt_reelect_latency_us = stats.Vc.last_latency_us;
-    pt_cut_delivered = !cut_delivered;
-    pt_minority_typed = !minority_typed;
-    pt_pending_after = stats.Vc.pending;
-    pt_members_final = members_of vc;
-    pt_reemitted = rel.Vc.reemitted;
-    pt_exactly_once = bg_ok ();
-    pt_finish_us = Time.to_us !finish;
-  }
-
-let partition_gates p =
-  let w = p.pt_workload in
-  [
-    (w ^ ": at most one coordinator committed per epoch", p.pt_epochs_unique);
-    (w ^ ": majority goodput continued during the cut", p.pt_cut_delivered > 0);
-    (w ^ ": minority surfaced typed errors, never hung", p.pt_minority_typed);
-    (w ^ ": no intent left parked after the heal", p.pt_pending_after = 0);
-    (w ^ ": post-heal delivery exactly-once, bit-identical",
-     p.pt_exactly_once);
-  ]
-  @ (match w with
-    | "partition-majority" ->
-        [
-          ( w ^ ": coordinator seat never moved",
-            p.pt_coordinator_after = p.pt_coordinator_before );
-          ( w ^ ": heal replayed the parked join",
-            p.pt_members_final = [ 0; 1; 2; 3 ] );
-        ]
-    | "coordinator-loss" ->
-        [
-          ( w ^ ": majority elected a replacement coordinator",
-            p.pt_elections >= 1
-            && p.pt_coordinator_after >= 0
-            && p.pt_coordinator_after <> p.pt_coordinator_before );
-          (w ^ ": re-election latency measured", p.pt_reelect_latency_us > 0.0);
-        ]
-    | _ ->
-        [
-          ( w ^ ": every flap forced a committed re-election",
-            p.pt_elections >= p.pt_cycles );
-          ( w ^ ": membership survived the flapping",
-            p.pt_members_final = [ 0; 1; 2; 3 ] );
-        ])
-
-let partition_line p =
-  Printf.sprintf
-    "%s: %d x %d B over %d cut/heal cycle(s); coordinator %d -> %d \
-     (%d election(s), epochs-unique=%s, last re-election %.2f us), \
-     %d delivered mid-cut, minority-typed=%s, pending=%d, members=[%s], \
-     %d re-emitted, exactly-once=%s, finish=%.2f us\n"
-    p.pt_workload p.pt_messages p.pt_size p.pt_cycles
-    p.pt_coordinator_before p.pt_coordinator_after p.pt_elections
-    (if p.pt_epochs_unique then "yes" else "NO")
-    p.pt_reelect_latency_us p.pt_cut_delivered
-    (if p.pt_minority_typed then "yes" else "NO")
-    p.pt_pending_after
-    (String.concat "; " (List.map string_of_int p.pt_members_final))
-    p.pt_reemitted
-    (if p.pt_exactly_once then "yes" else "NO")
-    p.pt_finish_us
+  partition_result ~name:"partition-flapping" ~messages:total ~size ~cycles
+    ~coordinator_before ~cut_delivered:!cut_delivered
+    ~minority_typed:!minority_typed ~exactly_once:(bg_ok ()) ~finish:!finish vc
 
 (* ------------------------------------------------------------------ *)
-(* Overload: one reliable credit-armed vchannel over a single TCP
-   segment; the receiving host's drain rate is capped at 1/100 of the
-   clean stream's. Run once clean (no cap) for the mismatch baseline,
-   once throttled for the backpressure assertions. *)
+(* Overload: a sender at full tilt against a receiver whose drain rate
+   the fault plane caps two orders of magnitude lower, on one reliable
+   credit-armed vchannel over a single TCP segment. Run once clean (no
+   cap) for the mismatch baseline, once throttled for the backpressure
+   assertions: the sender must end up blocked on the credit window
+   (never dropping, never queueing unboundedly), delivery stays
+   bit-identical and every instrumented buffering point stays under its
+   configured bound. *)
 
 let overload_one ~seed ~size ~messages ~credits ~mtu ~rx_cap =
   let engine = Engine.create () in
@@ -1388,7 +1294,6 @@ let overload_one ~seed ~size ~messages ~credits ~mtu ~rx_cap =
         Fabric.attach fabric n;
         n)
   in
-  ignore nodes;
   (match rx_cap with
   | Some cap -> Faults.slow_receiver faults ~fabric:"eth" ~node:1 ~mb_per_s:cap
   | None -> ());
@@ -1423,12 +1328,6 @@ let overload_one ~seed ~size ~messages ~credits ~mtu ~rx_cap =
   let rate = Time.rate_mb_s ~bytes_count:(size * messages) !finish in
   (rate, vc, net, !intact, !finish)
 
-let bounded_queues queues =
-  List.for_all
-    (fun q ->
-      match q.Vc.q_bound with Some b -> q.Vc.q_peak <= b | None -> true)
-    queues
-
 let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
   let clean_mb_s, _, _, clean_ok, _ =
     overload_one ~seed ~size ~messages ~credits ~mtu ~rx_cap:None
@@ -1437,73 +1336,64 @@ let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
     overload_one ~seed ~size ~messages ~credits ~mtu
       ~rx_cap:(Some rx_cap_mb_s)
   in
-  let cs =
-    match Vc.credit_stats vc with Some s -> s | None -> assert false
-  in
+  let cs = Option.get (Vc.credit_stats vc) in
   let queues = Vc.queue_stats vc in
   let inbox_peak, sendq_peak = Tcpnet.queue_peaks net in
+  let bounded = bounded_queues queues in
   {
-    ov_messages = messages;
-    ov_size = size;
-    ov_credits = credits;
-    ov_mtu = mtu;
-    ov_rx_cap_mb_s = rx_cap_mb_s;
-    ov_clean_mb_s = clean_mb_s;
-    ov_throttled_mb_s = throttled_mb_s;
-    ov_stalls = cs.Vc.stalls;
-    ov_grants = cs.Vc.grants;
-    ov_probes = cs.Vc.probes;
-    ov_queues = queues;
-    ov_inbox_peak_bytes = inbox_peak;
-    ov_sendq_peak_frames = sendq_peak;
-    ov_intact = ok && clean_ok;
-    ov_bounded = bounded_queues queues;
-    ov_finish_us = Time.to_us finish;
+    name = "overload";
+    metrics =
+      [
+        ("messages", Int messages);
+        ("size", Int size);
+        ("credits", Int credits);
+        ("mtu", Int mtu);
+        ("rx_cap_mb_s", Float rx_cap_mb_s);
+        ("clean_mb_s", Float clean_mb_s);
+        ("throttled_mb_s", Float throttled_mb_s);
+        ( "mismatch",
+          Float
+            (if throttled_mb_s > 0.0 then clean_mb_s /. throttled_mb_s else 0.0)
+        );
+        ("stalls", Int cs.Vc.stalls);
+        ("grants", Int cs.Vc.grants);
+        ("probes", Int cs.Vc.probes);
+        ("inbox_peak_bytes", Int inbox_peak);
+        ("sendq_peak_frames", Int sendq_peak);
+        ("intact", Bool (ok && clean_ok));
+        ("bounded", Bool bounded);
+        ("finish_us", Float (Time.to_us finish));
+        ("queues", queues_value queues);
+      ];
+    gates =
+      [
+        ("overload-intact", ok && clean_ok);
+        ("overload-queues-bounded", bounded);
+        ("overload-sender-stalled", cs.Vc.stalls > 0 && cs.Vc.grants > 0);
+        ( "overload-rate-mismatch",
+          throttled_mb_s > 0.0 && clean_mb_s /. throttled_mb_s >= 10.0 );
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
 (* Slow gateway: 0 -> 1 (gateway) -> 2 across two Ethernet segments;
    rank 2's drain on the egress segment is capped while the ingress
    segment runs clean. Credits are generous, so the gateway's bounded
-   forwarding pool is the active constraint. *)
+   forwarding pool is the active constraint: it must throttle the
+   ingress to the egress bandwidth (hop-by-hop backpressure, not
+   gateway-side queueing), and the gateway must report Overloaded while
+   the pool is pinned at its high watermark — then clear once the
+   stream drains. *)
 
 let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 3 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
+  let engine, faults, session, chans =
+    segments_world ~seed ~a:[ 0; 1 ] ~b:[ 1; 2 ]
+      ~setup:(fun faults ->
+        Faults.slow_receiver faults ~fabric:"ethB" ~node:2
+          ~mb_per_s:rx_cap_mb_s)
+      ()
   in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2 ];
-  Faults.slow_receiver faults ~fabric:"ethB" ~node:2 ~mb_per_s:rx_cap_mb_s;
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2 ] ()
-  in
-  let vc =
-    Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults [ ch_a; ch_b ]
-  in
+  let vc = Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults chans in
   let payload_of m = Harness.payload size (Int64.of_int (400 + m)) in
   let intact = ref true in
   let reported = ref false in
@@ -1534,20 +1424,38 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
       (Vc.suspicion_timeline vc)
   in
   let queues = Vc.queue_stats vc in
+  let ingress = Time.rate_mb_s ~bytes_count:(size * messages) !finish in
+  let events = Vc.overload_events vc in
+  let reported = !reported || sentinel_saw_overload in
+  let cleared = Vc.overloaded vc = [] in
+  let bounded = bounded_queues queues in
   {
-    sg_messages = messages;
-    sg_size = size;
-    sg_credits = credits;
-    sg_gw_pool = gw_pool;
-    sg_rx_cap_mb_s = rx_cap_mb_s;
-    sg_ingress_mb_s = Time.rate_mb_s ~bytes_count:(size * messages) !finish;
-    sg_overload_events = Vc.overload_events vc;
-    sg_overload_reported = !reported || sentinel_saw_overload;
-    sg_overload_cleared = Vc.overloaded vc = [];
-    sg_queues = queues;
-    sg_intact = !intact;
-    sg_bounded = bounded_queues queues;
-    sg_finish_us = Time.to_us !finish;
+    name = "slow-gateway";
+    metrics =
+      [
+        ("messages", Int messages);
+        ("size", Int size);
+        ("credits", Int credits);
+        ("gw_pool", Int gw_pool);
+        ("rx_cap_mb_s", Float rx_cap_mb_s);
+        ("ingress_mb_s", Float ingress);
+        ("overload_events", Int events);
+        ("overload_reported", Bool reported);
+        ("overload_cleared", Bool cleared);
+        ("intact", Bool !intact);
+        ("bounded", Bool bounded);
+        ("finish_us", Float (Time.to_us !finish));
+        ("queues", queues_value queues);
+      ];
+    gates =
+      [
+        ("slow-gateway-intact", !intact);
+        ("slow-gateway-queues-bounded", bounded);
+        ("slow-gateway-overload-reported", events >= 1 && reported);
+        ("slow-gateway-overload-cleared", cleared);
+        ( "slow-gateway-ingress-throttled",
+          ingress <= 2.0 *. rx_cap_mb_s && ingress >= 0.2 *. rx_cap_mb_s );
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1560,48 +1468,19 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
    something, or the scenario is not testing aggregation at all. *)
 
 let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 3 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2 ];
-  List.iter
-    (fun i -> Faults.set_drop faults ~fabric:"ethA" ~node:i ~rate:drop)
-    [ 0; 1 ];
-  List.iter
-    (fun i -> Faults.set_drop faults ~fabric:"ethB" ~node:i ~rate:drop)
-    [ 1; 2 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2 ] ()
+  let engine, faults, session, chans =
+    segments_world ~seed ~a:[ 0; 1 ] ~b:[ 1; 2 ]
+      ~setup:(fun faults ->
+        List.iter
+          (fun i -> Faults.set_drop faults ~fabric:"ethA" ~node:i ~rate:drop)
+          [ 0; 1 ];
+        List.iter
+          (fun i -> Faults.set_drop faults ~fabric:"ethB" ~node:i ~rate:drop)
+          [ 1; 2 ])
+      ()
   in
   let vc =
-    Vc.create session ~mtu:4096 ~faults
-      ~sched:(Madeleine.Sched.aggreg ())
-      [ ch_a; ch_b ]
+    Vc.create session ~mtu:4096 ~faults ~sched:(Madeleine.Sched.aggreg ()) chans
   in
   let payload_of flow m =
     Harness.payload size (Int64.of_int (600 + (flow * 1000) + m))
@@ -1628,23 +1507,30 @@ let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
         if !done_flows = flows then finish := Engine.now engine)
   done;
   Engine.run engine;
-  let ss = match Vc.sched_stats vc with Some s -> s | None -> assert false in
-  let rs = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let ss = Option.get (Vc.sched_stats vc) in
+  let rs = Option.get (Vc.rel_stats vc) in
+  let merged = ss.Madeleine.Sched.sched_merged in
   {
-    sc_flows = flows;
-    sc_messages = messages;
-    sc_size = size;
-    sc_drop_pct = drop *. 100.0;
-    sc_merged = ss.Madeleine.Sched.sched_merged;
-    sc_aggregates = ss.Madeleine.Sched.sched_aggregates;
-    sc_mean_frames = ss.Madeleine.Sched.sched_mean_frames;
-    sc_flush_full = ss.Madeleine.Sched.sched_flush_full;
-    sc_flush_deadline = ss.Madeleine.Sched.sched_flush_deadline;
-    sc_flush_flow = ss.Madeleine.Sched.sched_flush_flow;
-    sc_reemitted = rs.Vc.reemitted;
-    sc_dup_drops = rs.Vc.dup_drops;
-    sc_intact = !intact;
-    sc_finish_us = Time.to_us !finish;
+    name = "sched-aggreg";
+    metrics =
+      [
+        ("flows", Int flows);
+        ("messages_per_flow", Int messages);
+        ("size", Int size);
+        ("drop_pct", Float (drop *. 100.0));
+        ("merged", Int merged);
+        ("aggregates", Int ss.Madeleine.Sched.sched_aggregates);
+        ("mean_frames", Float ss.Madeleine.Sched.sched_mean_frames);
+        ("flush_full", Int ss.Madeleine.Sched.sched_flush_full);
+        ("flush_deadline", Int ss.Madeleine.Sched.sched_flush_deadline);
+        ("flush_flow", Int ss.Madeleine.Sched.sched_flush_flow);
+        ("reemitted", Int rs.Vc.reemitted);
+        ("dup_drops", Int rs.Vc.dup_drops);
+        ("intact", Bool !intact);
+        ("finish_us", Float (Time.to_us !finish));
+      ];
+    gates =
+      [ ("sched-aggreg-intact", !intact); ("sched-aggreg-merged", merged > 0) ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1657,25 +1543,6 @@ let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
    is a pure function of the seed, like the rest of the harness. *)
 
 module Coll = Madeleine.Collectives
-
-type coll_chaos = {
-  co_workload : string;
-  co_ranks : int;
-  co_expected : int; (* collective calls issued across all ranks *)
-  co_completed : int; (* calls that returned a decision *)
-  co_failed : int; (* calls that raised Collective_failed *)
-  co_agree : bool; (* every completing rank got bit-identical bytes *)
-  co_value_ok : bool; (* decided value = sum over the covered ranks *)
-  co_covered : int list; (* ranks the last decision covers *)
-  co_rejoined : bool; (* >= 1 late contribution answered from the journal *)
-  co_spine_ok : bool; (* no Overloaded gateway sat on the sampled spine *)
-  co_repairs : int;
-  co_packets : int;
-  co_combined : int;
-  co_root_contribs : int;
-  co_dup_suppressed : int;
-  co_finish_us : float;
-}
 
 (* 64-bit little-endian sum: associative, commutative, and a different
    result for every distinct subset of contributors — so a value match
@@ -1702,6 +1569,52 @@ let coll_agree_and_value results covered =
       ( List.for_all (Bytes.equal v) rest,
         Bytes.length v = 8
         && Bytes.get_int64_le v 0 = coll_expected_sum covered )
+
+(* The outcome of one collectives workload. [expected] collective calls
+   were issued across all ranks; [agree] says every completing rank got
+   bit-identical bytes, [value_ok] that the decided value is the sum over
+   exactly the covered ranks, [rejoined] that a late contribution was
+   answered from the journal and [spine_ok] that no Overloaded gateway
+   sat on the sampled spine. Which of the last two is gated depends on
+   the workload. *)
+let coll_result ~name ~ranks ~expected ~completed ~failed ~agree ~value_ok
+    ~rejoined ~spine_ok ~finish (st : Coll.stats) =
+  let tag s = name ^ "-" ^ s in
+  {
+    name;
+    metrics =
+      [
+        ("ranks", Int ranks);
+        ("expected", Int expected);
+        ("completed", Int completed);
+        ("failed", Int failed);
+        ("agree", Bool agree);
+        ("value_ok", Bool value_ok);
+        ("covered", ints st.Coll.last_covered);
+        ("rejoined", Bool rejoined);
+        ("spine_ok", Bool spine_ok);
+        ("repairs", Int st.Coll.repairs);
+        ("packets", Int st.Coll.packets);
+        ("combined", Int st.Coll.combined);
+        ("root_contribs", Int st.Coll.root_contribs);
+        ("dup_suppressed", Int st.Coll.dup_suppressed);
+        ("finish_us", Float (Time.to_us finish));
+      ];
+    gates =
+      [
+        (tag "completed", completed = expected && failed = 0);
+        (tag "agree", agree);
+        (tag "exactly-once", value_ok);
+      ]
+      @
+      if name = "coll-spine-overload" then
+        [ (tag "spine-avoids-overloaded", spine_ok) ]
+      else
+        [
+          (tag "rejoined-from-journal", rejoined);
+          (tag "repaired", st.Coll.repairs >= 1);
+        ];
+  }
 
 (* Crash mid-barrier, restart, re-join. Rank 3 holds the first barrier
    open (everyone else is parked waiting for its contribution when the
@@ -1741,24 +1654,9 @@ let coll_crash_barrier_run ~seed =
   Engine.run engine;
   let st = Coll.stats coll in
   let agree, value_ok = coll_agree_and_value results st.Coll.last_covered in
-  {
-    co_workload = "coll-crash-barrier";
-    co_ranks = n;
-    co_expected = 2 * n;
-    co_completed = !barriers + !allreds;
-    co_failed = !failed;
-    co_agree = agree;
-    co_value_ok = value_ok;
-    co_covered = st.Coll.last_covered;
-    co_rejoined = st.Coll.journal_answers >= 1;
-    co_spine_ok = true;
-    co_repairs = st.Coll.repairs;
-    co_packets = st.Coll.packets;
-    co_combined = st.Coll.combined;
-    co_root_contribs = st.Coll.root_contribs;
-    co_dup_suppressed = st.Coll.dup_suppressed;
-    co_finish_us = Time.to_us !finish;
-  }
+  coll_result ~name:"coll-crash-barrier" ~ranks:n ~expected:(2 * n)
+    ~completed:(!barriers + !allreds) ~failed:!failed ~agree ~value_ok
+    ~rejoined:(st.Coll.journal_answers >= 1) ~spine_ok:true ~finish:!finish st
 
 (* An Overloaded gateway on the tree spine: a background stream pins
    the on-route gateway's forwarding pool (the PR 5 watermark), the
@@ -1767,42 +1665,14 @@ let coll_crash_barrier_run ~seed =
    completes around the load instead of through it. *)
 let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
     ~rx_cap_mb_s =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
+  let engine, faults, session, chans =
+    segments_world ~seed ~a:[ 0; 1; 2 ] ~b:[ 1; 2; 3 ]
+      ~setup:(fun faults ->
+        Faults.slow_receiver faults ~fabric:"ethB" ~node:3
+          ~mb_per_s:rx_cap_mb_s)
+      ()
   in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1; 2 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2; 3 ];
-  Faults.slow_receiver faults ~fabric:"ethB" ~node:3 ~mb_per_s:rx_cap_mb_s;
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1; 2 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2; 3 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2; 3 ] ()
-  in
-  let vc =
-    Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults [ ch_a; ch_b ]
-  in
+  let vc = Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults chans in
   let coll = Coll.create ~fanout:2 vc in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let other_gw = if gw = 1 then 2 else 1 in
@@ -1842,7 +1712,6 @@ let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
               with Coll.Collective_failed _ -> incr failed))
         (Vc.ranks vc));
   Engine.run engine;
-  let st = Coll.stats coll in
   let spine_ok =
     List.mem gw !overloaded_at_sample
     && List.assoc_opt 3 !spine = Some other_gw
@@ -1850,24 +1719,9 @@ let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
          (fun (_, parent) -> not (List.mem parent !overloaded_at_sample))
          !spine
   in
-  {
-    co_workload = "coll-spine-overload";
-    co_ranks = 4;
-    co_expected = 4;
-    co_completed = !barriers;
-    co_failed = !failed;
-    co_agree = true;
-    co_value_ok = !intact;
-    co_covered = st.Coll.last_covered;
-    co_rejoined = true;
-    co_spine_ok = spine_ok;
-    co_repairs = st.Coll.repairs;
-    co_packets = st.Coll.packets;
-    co_combined = st.Coll.combined;
-    co_root_contribs = st.Coll.root_contribs;
-    co_dup_suppressed = st.Coll.dup_suppressed;
-    co_finish_us = Time.to_us !finish;
-  }
+  coll_result ~name:"coll-spine-overload" ~ranks:4 ~expected:4
+    ~completed:!barriers ~failed:!failed ~agree:true ~value_ok:!intact
+    ~rejoined:true ~spine_ok ~finish:!finish (Coll.stats coll)
 
 (* A hierarchical cluster-of-clusters world: [clusters] leaf channels
    of [per] ranks each, bridged by a backbone channel of the gateway
@@ -1919,7 +1773,7 @@ let coll_world ~seed ~clusters ~per ~with_faults =
    covered set — the no-double-count property under repair. *)
 let coll_rolling_allreduce_run ~seed ~clusters ~per =
   let engine, faults, vc = coll_world ~seed ~clusters ~per ~with_faults:true in
-  let faults = match faults with Some f -> f | None -> assert false in
+  let faults = Option.get faults in
   let coll = Coll.create ~fanout:4 vc in
   let n = clusters * per in
   let completed = ref 0 and failed = ref 0 in
@@ -1949,43 +1803,9 @@ let coll_rolling_allreduce_run ~seed ~clusters ~per =
   Engine.run engine;
   let st = Coll.stats coll in
   let agree, value_ok = coll_agree_and_value results st.Coll.last_covered in
-  {
-    co_workload = "coll-rolling-allreduce";
-    co_ranks = n;
-    co_expected = n;
-    co_completed = !completed;
-    co_failed = !failed;
-    co_agree = agree;
-    co_value_ok = value_ok;
-    co_covered = st.Coll.last_covered;
-    co_rejoined = st.Coll.journal_answers >= 1;
-    co_spine_ok = true;
-    co_repairs = st.Coll.repairs;
-    co_packets = st.Coll.packets;
-    co_combined = st.Coll.combined;
-    co_root_contribs = st.Coll.root_contribs;
-    co_dup_suppressed = st.Coll.dup_suppressed;
-    co_finish_us = Time.to_us !finish;
-  }
-
-type coll_scale_row = {
-  sr_ranks : int;
-  sr_depth : int;
-  sr_rounds : int;
-  sr_tree_us : float;
-  sr_tree_root_contribs : int;
-  sr_tree_packets : int;
-  sr_flat_us : float;
-  sr_flat_root_contribs : int;
-  sr_flat_packets : int;
-}
-
-type coll_scale = {
-  cs_fanout : int;
-  cs_rows : coll_scale_row list;
-  cs_ratio : float; (* flat / tree barrier latency at the largest size *)
-  cs_log_like : bool; (* tree depth <= 2 * ceil(log2 n) at every size *)
-}
+  coll_result ~name:"coll-rolling-allreduce" ~ranks:n ~expected:n
+    ~completed:!completed ~failed:!failed ~agree ~value_ok
+    ~rejoined:(st.Coll.journal_answers >= 1) ~spine_ok:true ~finish:!finish st
 
 let coll_barrier_once ~seed ~clusters ~per ~algo ~fanout =
   let engine, _faults, vc = coll_world ~seed ~clusters ~per ~with_faults:false in
@@ -2006,10 +1826,18 @@ let coll_barrier_once ~seed ~clusters ~per ~algo ~fanout =
   Engine.run engine;
   (Time.to_us !finish -. 1000.0, Coll.stats coll)
 
-(* The headline figure: one barrier over the hierarchical world, tree
-   vs flat, at every requested scale. Latency is simulated time, so
-   the rows are byte-identical for a given seed. *)
+(* The headline figure: one faultless barrier over the hierarchical
+   world, tree vs flat, at every requested [(clusters, per)] scale.
+   Latency is simulated time, so the rows are byte-identical for a given
+   seed. Gated: tree depth stays within 2 * ceil(log2 n) at every size,
+   the flat/tree latency ratio at the largest size is >= 4x, and gateway
+   combining delivers fewer root contributions than the flat star at
+   every size. *)
 let coll_scale_run ~seed ~fanout ~sizes =
+  let log2_ceil n =
+    let rec go k acc = if acc >= n then k else go (k + 1) (2 * acc) in
+    go 0 1
+  in
   let rows =
     List.map
       (fun (clusters, per) ->
@@ -2020,623 +1848,287 @@ let coll_scale_run ~seed ~fanout ~sizes =
         let flat_us, flat_st =
           coll_barrier_once ~seed ~clusters ~per ~algo:Coll.Flat ~fanout
         in
-        {
-          sr_ranks = n;
-          sr_depth = tree_st.Coll.last_depth;
-          sr_rounds = tree_st.Coll.last_rounds;
-          sr_tree_us = tree_us;
-          sr_tree_root_contribs = tree_st.Coll.root_contribs;
-          sr_tree_packets = tree_st.Coll.packets;
-          sr_flat_us = flat_us;
-          sr_flat_root_contribs = flat_st.Coll.root_contribs;
-          sr_flat_packets = flat_st.Coll.packets;
-        })
+        let ratio = flat_us /. tree_us in
+        ( tree_st.Coll.last_depth <= 2 * log2_ceil n,
+          tree_st.Coll.root_contribs < flat_st.Coll.root_contribs,
+          ratio,
+          Obj
+            [
+              ("ranks", Int n);
+              ("tree_depth", Int tree_st.Coll.last_depth);
+              ("tree_rounds", Int tree_st.Coll.last_rounds);
+              ("tree_us", Float tree_us);
+              ("flat_us", Float flat_us);
+              ("ratio", Float ratio);
+              ("tree_root_contribs", Int tree_st.Coll.root_contribs);
+              ("flat_root_contribs", Int flat_st.Coll.root_contribs);
+              ("tree_packets", Int tree_st.Coll.packets);
+              ("flat_packets", Int flat_st.Coll.packets);
+            ] ))
       sizes
   in
-  let log2_ceil n =
-    let rec go k acc = if acc >= n then k else go (k + 1) (2 * acc) in
-    go 0 1
-  in
-  let largest = List.nth rows (List.length rows - 1) in
+  let _, _, ratio, _ = List.nth rows (List.length rows - 1) in
+  let log_like = List.for_all (fun (log_ok, _, _, _) -> log_ok) rows in
   {
-    cs_fanout = fanout;
-    cs_rows = rows;
-    cs_ratio = largest.sr_flat_us /. largest.sr_tree_us;
-    cs_log_like =
-      List.for_all
-        (fun r -> r.sr_depth <= 2 * log2_ceil r.sr_ranks)
-        rows;
+    name = "coll-scale";
+    metrics =
+      [
+        ("fanout", Int fanout);
+        ("ratio", Float ratio);
+        ("log_like", Bool log_like);
+        ("rows", List (List.map (fun (_, _, _, row) -> row) rows));
+      ];
+    gates =
+      [
+        ("coll-scale-tree-log-rounds", log_like);
+        ("coll-scale-speedup", ratio >= 4.0);
+        ( "coll-scale-combining",
+          List.for_all (fun (_, combines, _, _) -> combines) rows );
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
-(* The workload set. Stop-and-wait retransmission gives up after 12
-   attempts, so the per-frame survival probability bounds which
-   (rate, size) points can complete: at 5% per link a frame of a dozen
-   or more MTU fragments (crossing two faulty endpoints) dies often
-   enough that twelve consecutive losses become likely, so the heaviest
-   rate is swept only over single-digit-fragment messages rather than
-   reported dead. *)
+(* The scenario table. Every scenario expands to its parsim jobs with
+   the parameters the sweep uses; [collect] folds the jobs' results
+   into the scenario's one result (only the fault grid has more than
+   one job). *)
 
-type outcome =
-  | Row of row
-  | Failed_over of failover
-  | Goodput_of of goodput
-  | Restarted of crash_restart
-  | Overloaded_of of overload
-  | Slow_gateway_of of slow_gateway
-  | Sched_of of sched_chaos
-  | Rolled of rolling_restart
-  | Elastic_of of elastic
+type scenario = {
+  name : string;
+  doc : string;
+  in_sweep : bool;
+  jobs : seed:int -> quick:bool -> (string * (unit -> result)) list;
+  collect : result list -> result;
+}
 
-let run (runner : Sweeps.runner) ~seed ~quick =
-  let rates = if quick then [ 0.0; 0.01 ] else [ 0.0; 0.005; 0.01; 0.05 ] in
-  let sizes =
-    if quick then [ 4; 4096; 16384 ] else [ 4; 256; 4096; 16384; 65536 ]
-  in
-  let drop_jobs =
-    List.concat_map
-      (fun drop ->
-        List.filter_map
-          (fun size ->
-            if drop >= 0.05 && size > 4096 then None
-            else
-              Some
-                ( Printf.sprintf "chaos/drop-%.1f%%/%d" (drop *. 100.0) size,
-                  fun () -> Row (drop_row ~seed ~drop ~size) ))
-          sizes)
-      rates
-  in
-  let corrupt_sizes = if quick then [ 16384 ] else [ 4096; 16384 ] in
-  let corrupt_jobs =
-    List.map
-      (fun size ->
-        ( Printf.sprintf "chaos/corrupt-2.0%%/%d" size,
-          fun () -> Row (corrupt_row ~seed ~rate:0.02 ~size) ))
-      corrupt_sizes
-  in
-  let scheduled_jobs =
-    [
-      ("chaos/flap", fun () -> Row (flap_row ~seed ~size:16384));
-      ("chaos/reorder", fun () -> Row (reorder_row ~seed ~size:16384));
-      ("chaos/pci-stall", fun () -> Row (stall_row ~seed ~size:65536));
-      ( "chaos/gateway-failover",
-        fun () -> Failed_over (failover_run ~seed ~size:16384 ~messages:4) );
-      ( "chaos/goodput",
-        fun () ->
-          Goodput_of
-            (goodput_run ~seed ~size:1024
-               ~messages:(if quick then 256 else 512)
-               ~window:8 ~drop:0.01) );
-      ( "chaos/crash-restart",
-        fun () ->
-          Restarted
-            (crash_restart_run ~seed ~size:16384
-               ~messages:(if quick then 3 else 4)) );
-      ( "chaos/overload",
-        fun () ->
-          Overloaded_of
-            (overload_run ~seed ~size:16384
-               ~messages:(if quick then 4 else 6)
-               ~credits:8 ~mtu:4096 ~rx_cap_mb_s:0.11) );
-      ( "chaos/slow-gateway",
-        fun () ->
-          Slow_gateway_of
-            (slow_gateway_run ~seed ~size:16384
-               ~messages:(if quick then 6 else 8)
-               ~credits:32 ~gw_pool:2 ~rx_cap_mb_s:0.5) );
-      ( "chaos/sched-aggreg",
-        fun () ->
-          Sched_of
-            (sched_aggreg_run ~seed
-               ~flows:(if quick then 16 else 32)
-               ~messages:4 ~size:256 ~drop:0.01) );
-      ( "chaos/rolling-restart",
-        fun () ->
-          Rolled
-            (rolling_restart_run ~seed ~size:16384
-               ~messages:(if quick then 3 else 4)) );
-      ( "chaos/join-under-load",
-        fun () ->
-          Elastic_of
-            (join_load_run ~seed ~size:16384
-               ~messages:(if quick then 4 else 6)) );
-      ( "chaos/drain-under-load",
-        fun () ->
-          Elastic_of
-            (drain_load_run ~seed ~size:16384
-               ~messages:(if quick then 4 else 6)) );
-    ]
-  in
-  let outcomes = runner.Sweeps.run (drop_jobs @ corrupt_jobs @ scheduled_jobs) in
-  let rows =
-    List.filter_map (function Row r -> Some r | _ -> None) outcomes
-  in
-  let pick what f =
-    match List.find_map f outcomes with
-    | Some v -> v
-    | None -> failwith ("chaos: missing " ^ what)
-  in
+let single ?(in_sweep = true) name doc run =
   {
-    rep_seed = seed;
-    rep_quick = quick;
-    rep_rows = rows;
-    rep_failover = pick "failover" (function Failed_over f -> Some f | _ -> None);
-    rep_goodput = pick "goodput" (function Goodput_of g -> Some g | _ -> None);
-    rep_crash = pick "crash-restart" (function Restarted c -> Some c | _ -> None);
-    rep_overload =
-      pick "overload" (function Overloaded_of o -> Some o | _ -> None);
-    rep_slow_gateway =
-      pick "slow-gateway" (function Slow_gateway_of s -> Some s | _ -> None);
-    rep_sched = pick "sched-aggreg" (function Sched_of s -> Some s | _ -> None);
-    rep_rolling =
-      pick "rolling-restart" (function Rolled r -> Some r | _ -> None);
-    rep_join =
-      pick "join-under-load" (function
-        | Elastic_of e when e.el_op = "join" -> Some e
-        | _ -> None);
-    rep_drain =
-      pick "drain-under-load" (function
-        | Elastic_of e when e.el_op = "drain" -> Some e
-        | _ -> None);
+    name;
+    doc;
+    in_sweep;
+    jobs =
+      (fun ~seed ~quick -> [ ("chaos/" ^ name, fun () -> run ~seed ~quick) ]);
+    collect = List.hd;
   }
 
-(* Named pass/fail gates; CI relies on the process exit code derived
-   from these, and a failure prints the gate names that tripped. The
-   live-topology gates stand alone so `madbench chaos WORKLOAD` can
-   judge a single scenario. *)
-let rolling_gates rr =
+let scenarios =
+  let q quick fast full = if quick then fast else full in
   [
-    ("rolling-restart-exactly-once", rr.rr_exactly_once);
-    ( "rolling-restart-no-dup-deliveries",
-      rr.rr_dup_deliveries = 0 && rr.rr_delivered = 2 * rr.rr_messages );
-    ("rolling-restart-no-partition", not rr.rr_partitioned);
-    ("rolling-restart-queues-bounded", rr.rr_bounded);
-    ( "rolling-restart-epochs-advanced",
-      rr.rr_joins >= 3 && rr.rr_drains >= 3
-      && rr.rr_epoch_final >= rr.rr_epoch_start + 6 );
+    {
+      name = "rows";
+      doc =
+        "verified TCP ping-pong across a drop-rate x size grid, corruption, \
+         a link flap, reordering/duplication and a PCI stall";
+      in_sweep = true;
+      jobs = grid_jobs;
+      collect = collect_rows;
+    };
+    single "failover"
+      "the first-hop gateway of a 0 -> 3 stream crashes mid-stream; the \
+       rest reroutes, and losing the second gateway partitions"
+      (fun ~seed ~quick:_ -> failover_run ~seed ~size:16384 ~messages:4);
+    single "goodput"
+      "go-back-N against stop-and-wait on a TCP stream at 1% drop"
+      (fun ~seed ~quick ->
+        goodput_run ~seed ~size:1024 ~messages:(q quick 256 512) ~window:8
+          ~drop:0.01);
+    single "crash-restart"
+      "the only gateway and then the origin die and restart mid-stream; \
+       delivery stays exactly-once"
+      (fun ~seed ~quick ->
+        crash_restart_run ~seed ~size:16384 ~messages:(q quick 3 4));
+    single "overload"
+      "a ~100:1 producer/consumer rate mismatch stalls the credit-armed \
+       sender with every queue under its bound"
+      (fun ~seed ~quick ->
+        overload_run ~seed ~size:16384 ~messages:(q quick 4 6) ~credits:8
+          ~mtu:4096 ~rx_cap_mb_s:0.11);
+    single "slow-gateway"
+      "a rate-capped egress throttles ingress through the gateway's \
+       bounded pool, which reports and clears Overloaded"
+      (fun ~seed ~quick ->
+        slow_gateway_run ~seed ~size:16384 ~messages:(q quick 6 8)
+          ~credits:32 ~gw_pool:2 ~rx_cap_mb_s:0.5);
+    single "sched-aggreg"
+      "concurrent small-message flows on a sched=aggreg vchannel under \
+       1% drop stay bit-identical while frames merge"
+      (fun ~seed ~quick ->
+        sched_aggreg_run ~seed ~flows:(q quick 16 32) ~messages:4 ~size:256
+          ~drop:0.01);
+    single "rolling-restart"
+      "every rank drains, restarts and rejoins under traffic"
+      (fun ~seed ~quick ->
+        rolling_restart_run ~seed ~size:16384 ~messages:(q quick 3 4));
+    single "join-under-load"
+      "a rank joins mid-stream and becomes routable without quiescing \
+       flows"
+      (fun ~seed ~quick ->
+        join_load_run ~seed ~size:16384 ~messages:(q quick 4 6));
+    single "drain-under-load"
+      "the on-route gateway drains mid-stream and the flow reroutes"
+      (fun ~seed ~quick ->
+        drain_load_run ~seed ~size:16384 ~messages:(q quick 4 6));
+    single ~in_sweep:false "partition-majority"
+      "a minority rank is cut off; the majority keeps its coordinator and \
+       goodput, the minority fails typed, the heal replays its parked join"
+      (fun ~seed ~quick ->
+        partition_majority_run ~seed ~size:16384 ~messages:(q quick 3 4));
+    single ~in_sweep:false "coordinator-loss"
+      "the partition strands the coordinator itself; the majority elects \
+       a replacement and the re-election latency is recorded"
+      (fun ~seed ~quick ->
+        coordinator_loss_run ~seed ~size:16384 ~messages:(q quick 3 4));
+    single ~in_sweep:false "partition-flapping"
+      "repeated cut/heal cycles each isolate the sitting coordinator; \
+       every flap forces a committed re-election and membership survives"
+      (fun ~seed ~quick ->
+        partition_flapping_run ~seed ~size:16384 ~messages:(q quick 3 4)
+          ~cycles:3);
+    single ~in_sweep:false "coll-crash-barrier"
+      "a rank crashes mid-barrier, survivors decide, the restart re-joins \
+       from the journal exactly-once"
+      (fun ~seed ~quick:_ -> coll_crash_barrier_run ~seed);
+    single ~in_sweep:false "coll-spine-overload"
+      "an Overloaded gateway is routed off the collective tree spine"
+      (fun ~seed ~quick ->
+        coll_spine_overload_run ~seed ~size:4096 ~messages:(q quick 24 48)
+          ~credits:64 ~gw_pool:4 ~rx_cap_mb_s:1.0);
+    single ~in_sweep:false "coll-rolling-allreduce"
+      "rolling restarts during a 64-rank allreduce; every survivor agrees \
+       bit-identically"
+      (fun ~seed ~quick:_ ->
+        coll_rolling_allreduce_run ~seed ~clusters:8 ~per:8);
+    single ~in_sweep:false "coll-scale"
+      "tree-vs-flat barrier latency at 64/256/1024 ranks (quick drops \
+       1024); the flat/tree ratio at the largest size is gated"
+      (fun ~seed ~quick ->
+        coll_scale_run ~seed ~fanout:4
+          ~sizes:(q quick [ (8, 8); (16, 16) ] [ (8, 8); (16, 16); (32, 32) ]));
   ]
 
-let elastic_gates e =
-  if e.el_op = "join" then
-    [
-      ( "join-under-load-no-partition",
-        (not e.el_partitioned) && e.el_intact );
-      ( "join-under-load-routable",
-        e.el_routable && e.el_status = "up" && e.el_watched );
-    ]
-  else
-    [
-      ( "drain-under-load-no-partition",
-        (not e.el_partitioned) && e.el_intact );
-      ( "drain-under-load-forgotten",
-        e.el_routable && e.el_status = "departed" && not e.el_watched );
-    ]
+let sweep = List.filter (fun s -> s.in_sweep) scenarios
 
-let coll_gates c =
-  let tag s = c.co_workload ^ "-" ^ s in
-  [
-    ( tag "completed",
-      c.co_completed = c.co_expected && c.co_failed = 0 );
-    (tag "agree", c.co_agree);
-    ( tag "exactly-once",
-      c.co_value_ok && c.co_dup_suppressed >= 0 );
-  ]
-  @ (if c.co_workload = "coll-spine-overload" then
-       [ (tag "spine-avoids-overloaded", c.co_spine_ok) ]
-     else
-       [
-         (tag "rejoined-from-journal", c.co_rejoined);
-         (tag "repaired", c.co_repairs >= 1);
-       ])
+(* Every job of every chosen scenario goes to the runner as one flat
+   list, so the grid keeps its per-point parallelism; the ordered
+   results are then handed back to their scenarios. *)
+let run (runner : Sweeps.runner) ~seed ~quick chosen =
+  let expanded = List.map (fun s -> (s, s.jobs ~seed ~quick)) chosen in
+  let outs = runner.Sweeps.run (List.concat_map snd expanded) in
+  let _, results =
+    List.fold_left_map
+      (fun outs (s, jobs) ->
+        let mine = List.filteri (fun i _ -> i < List.length jobs) outs in
+        let rest = List.filteri (fun i _ -> i >= List.length jobs) outs in
+        (rest, s.collect mine))
+      outs expanded
+  in
+  results
 
-let coll_scale_gates cs =
-  [
-    ("coll-scale-tree-log-rounds", cs.cs_log_like);
-    ("coll-scale-speedup", cs.cs_ratio >= 4.0);
-    ( "coll-scale-combining",
-      List.for_all
-        (fun r -> r.sr_tree_root_contribs < r.sr_flat_root_contribs)
-        cs.cs_rows );
-  ]
-
-let gates r =
-  let ov = r.rep_overload and sg = r.rep_slow_gateway in
-  [
-    ("rows-intact", List.for_all (fun row -> row.intact) r.rep_rows);
-    ("failover-intact", r.rep_failover.fo_intact);
-    ("failover-partition-detected", r.rep_failover.fo_partitioned);
-    ("failover-rerouted", r.rep_failover.fo_reroutes >= 1);
-    ("goodput-intact", r.rep_goodput.gp_intact);
-    ("goodput-window-speedup", r.rep_goodput.gp_speedup >= 2.0);
-    ("crash-restart-exactly-once", r.rep_crash.cr_exactly_once);
-    ("crash-restart-handshake", r.rep_crash.cr_handshakes >= 1);
-    ("overload-intact", ov.ov_intact);
-    ("overload-queues-bounded", ov.ov_bounded);
-    ("overload-sender-stalled", ov.ov_stalls > 0 && ov.ov_grants > 0);
-    ( "overload-rate-mismatch",
-      ov.ov_throttled_mb_s > 0.0
-      && ov.ov_clean_mb_s /. ov.ov_throttled_mb_s >= 10.0 );
-    ("slow-gateway-intact", sg.sg_intact);
-    ("slow-gateway-queues-bounded", sg.sg_bounded);
-    ( "slow-gateway-overload-reported",
-      sg.sg_overload_events >= 1 && sg.sg_overload_reported );
-    ("slow-gateway-overload-cleared", sg.sg_overload_cleared);
-    ( "slow-gateway-ingress-throttled",
-      sg.sg_ingress_mb_s <= 2.0 *. sg.sg_rx_cap_mb_s
-      && sg.sg_ingress_mb_s >= 0.2 *. sg.sg_rx_cap_mb_s );
-    ("sched-aggreg-intact", r.rep_sched.sc_intact);
-    ("sched-aggreg-merged", r.rep_sched.sc_merged > 0);
-  ]
-  @ rolling_gates r.rep_rolling
-  @ elastic_gates r.rep_join
-  @ elastic_gates r.rep_drain
-
-let failing_gates r =
-  List.filter_map (fun (name, ok) -> if ok then None else Some name) (gates r)
-
-let all_ok r = List.for_all snd (gates r)
+let failing_gates results =
+  List.concat_map
+    (fun (r : result) ->
+      List.filter_map (fun (n, ok) -> if ok then None else Some n) r.gates)
+    results
 
 (* ------------------------------------------------------------------ *)
-(* Rendering. Every figure below is simulated, so the whole report is a
-   pure function of (seed, quick): reruns are byte-identical. *)
+(* Rendering. Floats print at one precision everywhere; a non-finite
+   float is [null] in JSON. *)
 
-let queues_json b queues =
-  Buffer.add_string b "[\n";
-  let last = List.length queues - 1 in
-  List.iteri
-    (fun i q ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"point\": %S, \"node\": %d, \"peer\": %d, \"peak\": %d, \
-            \"bound\": %s }%s\n"
-           q.Vc.q_point q.Vc.q_node q.Vc.q_peer q.Vc.q_peak
-           (match q.Vc.q_bound with
-           | Some v -> string_of_int v
-           | None -> "null")
-           (if i = last then "" else ",")))
-    queues;
-  Buffer.add_string b "  ]"
+let rec text = function
+  | Int n -> string_of_int n
+  | Float f -> Printf.sprintf "%.3f" f
+  | Bool b -> string_of_bool b
+  | Str s -> s
+  | List l -> "[" ^ String.concat "; " (List.map text l) ^ "]"
+  | Obj kv -> String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ text v) kv)
 
-let to_json r =
+(* One line per result, [name: key=value ...]; a metric that is a list of
+   objects (grid points, queues, timelines) gets one indented line per
+   element instead. *)
+let render ~seed ~quick results =
   let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{ \"chaos\": { \"seed\": %d, \"quick\": %b, \"rows\": [\n"
-       r.rep_seed r.rep_quick);
-  let last = List.length r.rep_rows - 1 in
-  List.iteri
-    (fun i row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  { \"scenario\": %S, \"size\": %d, \"drop_pct\": %.2f, \
-            \"lat_us\": %.2f, \"bw_mb_s\": %.2f, \"drops\": %d, \
-            \"corrupts\": %d, \"dups\": %d, \"delays\": %d, \
-            \"retransmissions\": %d, \"crc_rejects\": %d, \
-            \"intact\": %b }%s\n"
-           row.scenario row.size row.drop_pct row.lat_us row.bw_mb_s row.drops
-           row.corrupts row.dups row.delays row.retransmissions
-           row.crc_rejects row.intact
-           (if i = last then "" else ",")))
-    r.rep_rows;
-  let f = r.rep_failover in
-  Buffer.add_string b
-    (Printf.sprintf
-       "], \"failover\": { \"messages\": %d, \"size\": %d, \
-        \"crashed_gateway\": %d, \"route_after\": [%s], \"reroutes\": %d, \
-        \"reemitted\": %d, \"dup_drops\": %d, \"intact\": %b, \
-        \"partitioned_after_second_crash\": %b, \"finish_us\": %.2f },\n"
-       f.fo_messages f.fo_size f.fo_crashed_gateway
-       (String.concat ", " (List.map string_of_int f.fo_route_after))
-       f.fo_reroutes f.fo_reemitted f.fo_dup_drops f.fo_intact f.fo_partitioned
-       f.fo_finish_us);
-  let g = r.rep_goodput in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"goodput\": { \"size\": %d, \"messages\": %d, \"drop_pct\": %.2f, \
-        \"window\": %d, \"window_mb_s\": %.2f, \"stopwait_mb_s\": %.2f, \
-        \"speedup\": %.2f, \"intact\": %b },\n"
-       g.gp_size g.gp_messages g.gp_drop_pct g.gp_window g.gp_window_mb_s
-       g.gp_stopwait_mb_s g.gp_speedup g.gp_intact);
-  let c = r.rep_crash in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"crash_restart\": { \"messages_per_phase\": %d, \"size\": %d, \
-        \"gateway\": %d, \"restart_us\": %.2f, \"delivered\": %d, \
-        \"handshakes\": %d, \"reroutes\": %d, \"reemitted\": %d, \
-        \"dup_drops\": %d, \"exactly_once\": %b, \"finish_us\": %.2f,\n"
-       c.cr_messages c.cr_size c.cr_gateway c.cr_restart_us c.cr_delivered
-       c.cr_handshakes c.cr_reroutes c.cr_reemitted c.cr_dup_drops
-       c.cr_exactly_once c.cr_finish_us);
-  Buffer.add_string b "  \"suspicions\": [\n";
-  let last_s = List.length c.cr_suspicions - 1 in
-  List.iteri
-    (fun i (at_us, observer, peer, from_, to_, phi) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"at_us\": %.2f, \"observer\": %d, \"peer\": %d, \
-            \"from\": %S, \"to\": %S, \"phi\": %.3f }%s\n"
-           at_us observer peer from_ to_ phi
-           (if i = last_s then "" else ",")))
-    c.cr_suspicions;
-  Buffer.add_string b "  ],\n  \"flows\": [\n";
-  let last_f = List.length c.cr_flows - 1 in
-  List.iteri
-    (fun i fs ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"src\": %d, \"dst\": %d, \"sent\": %d, \"unacked\": %d, \
-            \"delivered\": %d }%s\n"
-           fs.Vc.flow_src fs.Vc.flow_dst fs.Vc.sent fs.Vc.unacked
-           fs.Vc.delivered
-           (if i = last_f then "" else ",")))
-    c.cr_flows;
-  Buffer.add_string b "  ] },\n";
-  let o = r.rep_overload in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"overload\": { \"messages\": %d, \"size\": %d, \"credits\": %d, \
-        \"mtu\": %d, \"rx_cap_mb_s\": %.3f, \"clean_mb_s\": %.2f, \
-        \"throttled_mb_s\": %.3f, \"stalls\": %d, \"grants\": %d, \
-        \"probes\": %d, \"inbox_peak_bytes\": %d, \"sendq_peak_frames\": %d, \
-        \"intact\": %b, \"bounded\": %b, \"finish_us\": %.2f,\n  \"queues\": "
-       o.ov_messages o.ov_size o.ov_credits o.ov_mtu o.ov_rx_cap_mb_s
-       o.ov_clean_mb_s o.ov_throttled_mb_s o.ov_stalls o.ov_grants o.ov_probes
-       o.ov_inbox_peak_bytes o.ov_sendq_peak_frames o.ov_intact o.ov_bounded
-       o.ov_finish_us);
-  queues_json b o.ov_queues;
-  Buffer.add_string b " },\n";
-  let s = r.rep_slow_gateway in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"slow_gateway\": { \"messages\": %d, \"size\": %d, \"credits\": %d, \
-        \"gw_pool\": %d, \"rx_cap_mb_s\": %.3f, \"ingress_mb_s\": %.3f, \
-        \"overload_events\": %d, \"overload_reported\": %b, \
-        \"overload_cleared\": %b, \"intact\": %b, \"bounded\": %b, \
-        \"finish_us\": %.2f,\n  \"queues\": "
-       s.sg_messages s.sg_size s.sg_credits s.sg_gw_pool s.sg_rx_cap_mb_s
-       s.sg_ingress_mb_s s.sg_overload_events s.sg_overload_reported
-       s.sg_overload_cleared s.sg_intact s.sg_bounded s.sg_finish_us);
-  queues_json b s.sg_queues;
-  Buffer.add_string b " },\n";
-  let sc = r.rep_sched in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"sched_aggreg\": { \"flows\": %d, \"messages_per_flow\": %d, \
-        \"size\": %d, \"drop_pct\": %.2f, \"merged\": %d, \
-        \"aggregates\": %d, \"mean_frames\": %.2f, \"flush_full\": %d, \
-        \"flush_deadline\": %d, \"flush_flow\": %d, \"reemitted\": %d, \
-        \"dup_drops\": %d, \"intact\": %b, \"finish_us\": %.2f },\n"
-       sc.sc_flows sc.sc_messages sc.sc_size sc.sc_drop_pct sc.sc_merged
-       sc.sc_aggregates sc.sc_mean_frames sc.sc_flush_full
-       sc.sc_flush_deadline sc.sc_flush_flow sc.sc_reemitted sc.sc_dup_drops
-       sc.sc_intact sc.sc_finish_us);
-  let rr = r.rep_rolling in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"rolling_restart\": { \"messages_per_phase\": %d, \"size\": %d, \
-        \"restarted\": [%s], \"epoch_start\": %d, \"epoch_final\": %d, \
-        \"joins\": %d, \"drains\": %d, \"delivered\": %d, \
-        \"dup_deliveries\": %d, \"reroutes\": %d, \"reemitted\": %d, \
-        \"dup_drops\": %d, \"handshakes\": %d, \"partitioned\": %b, \
-        \"exactly_once\": %b, \"bounded\": %b, \"finish_us\": %.2f,\n\
-       \  \"queues\": "
-       rr.rr_messages rr.rr_size
-       (String.concat ", " (List.map string_of_int rr.rr_restarted))
-       rr.rr_epoch_start rr.rr_epoch_final rr.rr_joins rr.rr_drains
-       rr.rr_delivered rr.rr_dup_deliveries rr.rr_reroutes rr.rr_reemitted
-       rr.rr_dup_drops rr.rr_handshakes rr.rr_partitioned rr.rr_exactly_once
-       rr.rr_bounded rr.rr_finish_us);
-  queues_json b rr.rr_queues;
-  Buffer.add_string b " },\n";
-  let elastic_json e =
-    Printf.sprintf
-      "{ \"op\": %S, \"messages\": %d, \"size\": %d, \"rank\": %d, \
-       \"epoch_final\": %d, \"routable\": %b, \"status\": %S, \
-       \"watched\": %b, \"partitioned\": %b, \"intact\": %b, \
-       \"finish_us\": %.2f }"
-      e.el_op e.el_messages e.el_size e.el_rank e.el_epoch_final e.el_routable
-      e.el_status e.el_watched e.el_partitioned e.el_intact e.el_finish_us
-  in
-  Buffer.add_string b
-    (Printf.sprintf "\"join_under_load\": %s,\n\"drain_under_load\": %s,\n"
-       (elastic_json r.rep_join)
-       (elastic_json r.rep_drain));
-  Buffer.add_string b "\"gates\": [\n";
-  let gs = gates r in
-  let last_g = List.length gs - 1 in
-  List.iteri
-    (fun i (name, ok) ->
-      Buffer.add_string b
-        (Printf.sprintf "  { \"gate\": %S, \"pass\": %b }%s\n" name ok
-           (if i = last_g then "" else ",")))
-    gs;
-  Buffer.add_string b "] } }\n";
-  Buffer.contents b
-
-let rolling_line rr =
-  Printf.sprintf
-    "rolling-restart: 2 x %d x %d B while every rank restarts \
-     (order [%s]); epoch %d -> %d (%d join(s), %d drain(s)), \
-     %d delivered (%d dup), %d reroute(s), %d re-emitted, \
-     %d handshake(s), partitioned=%s, exactly-once=%s, bounded=%s, \
-     finish=%.2f us\n"
-    rr.rr_messages rr.rr_size
-    (String.concat "; " (List.map string_of_int rr.rr_restarted))
-    rr.rr_epoch_start rr.rr_epoch_final rr.rr_joins rr.rr_drains
-    rr.rr_delivered rr.rr_dup_deliveries rr.rr_reroutes rr.rr_reemitted
-    rr.rr_handshakes
-    (if rr.rr_partitioned then "YES" else "no")
-    (if rr.rr_exactly_once then "yes" else "NO")
-    (if rr.rr_bounded then "yes" else "NO")
-    rr.rr_finish_us
-
-let elastic_line e =
-  Printf.sprintf
-    "%s-under-load: %d x %d B; rank %d %sed mid-sweep -> epoch %d, \
-     routable-as-expected=%s, status=%s, watched=%s, partitioned=%s, \
-     intact=%s, finish=%.2f us\n"
-    e.el_op e.el_messages e.el_size e.el_rank e.el_op e.el_epoch_final
-    (if e.el_routable then "yes" else "NO")
-    e.el_status
-    (if e.el_watched then "yes" else "no")
-    (if e.el_partitioned then "YES" else "no")
-    (if e.el_intact then "yes" else "NO")
-    e.el_finish_us
-
-let coll_line c =
-  Printf.sprintf
-    "%s: %d rank(s), %d/%d call(s) completed (%d failed typed); \
-     agree=%s, value-correct=%s, covered=[%s], repairs=%d, \
-     combined=%d, root-contribs=%d, dup-suppressed=%d, \
-     journal-answers=%s, spine-ok=%s, packets=%d, finish=%.2f us\n"
-    c.co_workload c.co_ranks c.co_completed c.co_expected c.co_failed
-    (if c.co_agree then "yes" else "NO")
-    (if c.co_value_ok then "yes" else "NO")
-    (String.concat "; " (List.map string_of_int c.co_covered))
-    c.co_repairs c.co_combined c.co_root_contribs c.co_dup_suppressed
-    (if c.co_rejoined then "yes" else "no")
-    (if c.co_spine_ok then "yes" else "NO")
-    c.co_packets c.co_finish_us
-
-let coll_scale_line cs =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "coll-scale (fanout %d): barrier tree-vs-flat, ratio %.2fx at \
-        largest size, log-like=%s\n"
-       cs.cs_fanout cs.cs_ratio
-       (if cs.cs_log_like then "yes" else "NO"));
-  Buffer.add_string b
-    (Printf.sprintf "  %6s %6s %7s %12s %12s %8s %11s %11s\n" "ranks" "depth"
-       "rounds" "tree(us)" "flat(us)" "ratio" "tree-root" "flat-root");
+  Printf.bprintf b "# chaos report (seed %d%s)\n" seed
+    (if quick then ", quick" else "");
   List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "  %6d %6d %7d %12.2f %12.2f %7.2fx %11d %11d\n"
-           r.sr_ranks r.sr_depth r.sr_rounds r.sr_tree_us r.sr_flat_us
-           (r.sr_flat_us /. r.sr_tree_us) r.sr_tree_root_contribs
-           r.sr_flat_root_contribs))
-    cs.cs_rows;
-  Buffer.contents b
-
-let render_table r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "# chaos report (seed %d%s)\n" r.rep_seed
-       (if r.rep_quick then ", quick" else ""));
-  Buffer.add_string b
-    (Printf.sprintf "%-10s %8s %7s %12s %10s %6s %8s %5s %5s %8s %5s %7s\n"
-       "scenario" "size(B)" "drop%" "latency(us)" "bw(MB/s)" "drops" "corrupts"
-       "dups" "late" "retrans" "crc" "intact");
-  (* Degradation is judged against the clean (0%) row of the same size. *)
-  let clean_lat size =
-    List.find_map
-      (fun row ->
-        if row.scenario = "drop" && row.drop_pct = 0.0 && row.size = size then
-          Some row.lat_us
-        else None)
-      r.rep_rows
-  in
-  List.iter
-    (fun row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "%-10s %8d %7.1f %12.2f %10.2f %6d %8d %5d %5d %8d %5d %7s%s\n"
-           row.scenario row.size row.drop_pct row.lat_us row.bw_mb_s row.drops
-           row.corrupts row.dups row.delays row.retransmissions row.crc_rejects
-           (if row.intact then "yes" else "NO")
-           (match clean_lat row.size with
-           | Some base when row.drop_pct > 0.0 && base > 0.0 ->
-               Printf.sprintf "  (%.2fx clean latency)" (row.lat_us /. base)
-           | _ -> "")))
-    r.rep_rows;
-  let f = r.rep_failover in
-  Buffer.add_string b
-    (Printf.sprintf
-       "failover: %d x %d B via gateway %d; crash mid-stream -> route [%s], \
-        %d reroute(s), %d re-emitted, %d dup(s) dropped, intact=%s, \
-        partitioned after second crash=%s, finish=%.2f us\n"
-       f.fo_messages f.fo_size f.fo_crashed_gateway
-       (String.concat "; " (List.map string_of_int f.fo_route_after))
-       f.fo_reroutes f.fo_reemitted f.fo_dup_drops
-       (if f.fo_intact then "yes" else "NO")
-       (if f.fo_partitioned then "yes" else "NO")
-       f.fo_finish_us);
-  let g = r.rep_goodput in
-  Buffer.add_string b
-    (Printf.sprintf
-       "goodput:  %d x %d B at %.1f%% drop: window=%d %.2f MB/s vs \
-        stop-and-wait %.2f MB/s -> %.2fx, intact=%s\n"
-       g.gp_messages g.gp_size g.gp_drop_pct g.gp_window g.gp_window_mb_s
-       g.gp_stopwait_mb_s g.gp_speedup
-       (if g.gp_intact then "yes" else "NO"))
-  ;
-  let c = r.rep_crash in
-  Buffer.add_string b
-    (Printf.sprintf
-       "crash-restart: 2 x %d x %d B through gateway %d; gateway and \
-        origin each die and restart (%.0f us) mid-stream -> %d delivered, \
-        %d handshake(s), %d reroute(s), %d re-emitted, %d dup(s) dropped, \
-        %d suspicion event(s), exactly-once=%s, finish=%.2f us\n"
-       c.cr_messages c.cr_size c.cr_gateway c.cr_restart_us c.cr_delivered
-       c.cr_handshakes c.cr_reroutes c.cr_reemitted c.cr_dup_drops
-       (List.length c.cr_suspicions)
-       (if c.cr_exactly_once then "yes" else "NO")
-       c.cr_finish_us);
-  let o = r.rep_overload in
-  Buffer.add_string b
-    (Printf.sprintf
-       "overload: %d x %d B, credits=%d, receiver capped at %.2f MB/s \
-        (clean %.2f MB/s -> %.1f:1 mismatch): delivered %.3f MB/s, \
-        %d stall(s), %d grant(s), %d probe(s), queues bounded=%s, intact=%s\n"
-       o.ov_messages o.ov_size o.ov_credits o.ov_rx_cap_mb_s o.ov_clean_mb_s
-       (if o.ov_throttled_mb_s > 0.0 then
-          o.ov_clean_mb_s /. o.ov_throttled_mb_s
-        else 0.0)
-       o.ov_throttled_mb_s o.ov_stalls o.ov_grants o.ov_probes
-       (if o.ov_bounded then "yes" else "NO")
-       (if o.ov_intact then "yes" else "NO"));
-  List.iter
-    (fun q ->
-      Buffer.add_string b
-        (Printf.sprintf "  queue %-18s node=%d peer=%d peak=%d bound=%s\n"
-           q.Vc.q_point q.Vc.q_node q.Vc.q_peer q.Vc.q_peak
-           (match q.Vc.q_bound with
-           | Some v -> string_of_int v
-           | None -> "-")))
-    o.ov_queues;
-  let s = r.rep_slow_gateway in
-  Buffer.add_string b
-    (Printf.sprintf
-       "slow-gateway: %d x %d B via a pool of %d, egress capped at \
-        %.2f MB/s: ingress throttled to %.3f MB/s, %d overload event(s) \
-        (reported=%s, cleared=%s), queues bounded=%s, intact=%s\n"
-       s.sg_messages s.sg_size s.sg_gw_pool s.sg_rx_cap_mb_s s.sg_ingress_mb_s
-       s.sg_overload_events
-       (if s.sg_overload_reported then "yes" else "NO")
-       (if s.sg_overload_cleared then "yes" else "NO")
-       (if s.sg_bounded then "yes" else "NO")
-       (if s.sg_intact then "yes" else "NO"));
-  let sc = r.rep_sched in
-  Buffer.add_string b
-    (Printf.sprintf
-       "sched-aggreg: %d flows x %d x %d B at %.1f%% drop: %d frame(s) \
-        merged into %d aggregate(s) (%.1f frames each; full=%d \
-        deadline=%d flow=%d), %d re-emitted, %d dup(s) dropped, \
-        intact=%s, finish=%.2f us\n"
-       sc.sc_flows sc.sc_messages sc.sc_size sc.sc_drop_pct sc.sc_merged
-       sc.sc_aggregates sc.sc_mean_frames sc.sc_flush_full
-       sc.sc_flush_deadline sc.sc_flush_flow sc.sc_reemitted sc.sc_dup_drops
-       (if sc.sc_intact then "yes" else "NO")
-       sc.sc_finish_us);
-  Buffer.add_string b (rolling_line r.rep_rolling);
-  Buffer.add_string b (elastic_line r.rep_join);
-  Buffer.add_string b (elastic_line r.rep_drain);
-  (match failing_gates r with
+    (fun (r : result) ->
+      let tables, scalars =
+        List.partition
+          (fun (_, v) -> match v with List (Obj _ :: _) -> true | _ -> false)
+          r.metrics
+      in
+      Printf.bprintf b "%s:" r.name;
+      List.iter (fun (k, v) -> Printf.bprintf b " %s=%s" k (text v)) scalars;
+      Buffer.add_char b '\n';
+      List.iter
+        (fun (k, v) ->
+          match v with
+          | List rows ->
+              List.iter
+                (fun row -> Printf.bprintf b "  %s: %s\n" k (text row))
+                rows
+          | _ -> ())
+        tables)
+    results;
+  (match failing_gates results with
   | [] -> Buffer.add_string b "gates: all passed\n"
-  | failed ->
-      Buffer.add_string b
-        (Printf.sprintf "gates FAILED: %s\n" (String.concat ", " failed)));
+  | failed -> Printf.bprintf b "gates FAILED: %s\n" (String.concat ", " failed));
   Buffer.contents b
+
+(* Composite values holding only scalars print on one line; the others
+   break one element per line. *)
+let rec json ind v =
+  let scalar = function List _ | Obj _ -> false | _ -> true in
+  let scalars = function List l -> List.for_all scalar l | v -> scalar v in
+  let flat = function
+    | Obj kv -> List.for_all (fun (_, v) -> scalars v) kv
+    | v -> scalars v
+  in
+  let pad = String.make (ind + 2) ' ' in
+  let block opening closing items =
+    if flat v then opening ^ " " ^ String.concat ", " items ^ " " ^ closing
+    else
+      opening ^ "\n" ^ pad
+      ^ String.concat (",\n" ^ pad) items
+      ^ "\n" ^ String.make ind ' ' ^ closing
+  in
+  match v with
+  | Int n -> string_of_int n
+  | Float f when Float.is_finite f -> Printf.sprintf "%.3f" f
+  | Float _ -> "null"
+  | Bool b -> string_of_bool b
+  | Str s -> Printf.sprintf "%S" s
+  | List [] -> "[]"
+  | List l when flat v -> "[" ^ String.concat ", " (List.map (json 0) l) ^ "]"
+  | List l -> block "[" "]" (List.map (json (ind + 2)) l)
+  | Obj kv ->
+      block "{" "}"
+        (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (json (ind + 2) v)) kv)
+
+let to_json ~seed ~quick results =
+  let result (r : result) =
+    Obj
+      [
+        ("name", Str r.name);
+        ("metrics", Obj r.metrics);
+        ( "gates",
+          List
+            (List.map
+               (fun (n, ok) -> Obj [ ("gate", Str n); ("pass", Bool ok) ])
+               r.gates) );
+      ]
+  in
+  json 0
+    (Obj
+       [
+         ( "chaos",
+           Obj
+             [
+               ("seed", Int seed);
+               ("quick", Bool quick);
+               ("results", List (List.map result results));
+             ] );
+       ])
+  ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* The clean-path control: the quick chaos workload with no fault plane

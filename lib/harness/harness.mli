@@ -95,11 +95,6 @@ val forwarding_run :
     utilization over the run — the bus-saturation evidence behind the
     paper's §6.2.2 analysis. *)
 
-val message_sizes : int list
-(** The standard sweep used by the figures. *)
-
-val iters_for : int -> int
-
 (** {1 MPI worlds (Fig. 6)} *)
 
 type mpi_device_kind =

@@ -25,11 +25,12 @@ let queued_view buf = function
   | Iface.Send_safer -> stage_copy buf
   | Iface.Send_later | Iface.Send_cheaper -> buf
 
-(* Held buffers accumulate in a reusable Bufs vector, flushed by handing
-   the vector itself to the TM and clearing it afterwards: no per-flush
-   list materialization. Safe because the link's mutex serializes a
-   whole message, so nothing appends while a grouped send blocks. *)
-
+(* Ships each buffer as soon as it is packed (unless held back by a
+   pending [Send_later]). Held buffers accumulate in a reusable Bufs
+   vector, flushed by handing the vector itself to the TM and clearing
+   it afterwards: no per-flush list materialization. Safe because the
+   link's mutex serializes a whole message, so nothing appends while a
+   grouped send blocks. *)
 let eager_dynamic_send (d : Tm.dynamic_send) =
   let held = Bufs.create () in
   let flush () =
@@ -54,6 +55,9 @@ let eager_dynamic_send (d : Tm.dynamic_send) =
   in
   { bs_name = "eager-dynamic"; append; commit = flush }
 
+(* Groups buffers until commit (or until a [Receive_express] buffer
+   forces a flush so the receiver can see it immediately). [Send_safer]
+   buffers are staged through a copy, paid at memcpy rate. *)
 let aggregating_dynamic_send (d : Tm.dynamic_send) =
   let held = Bufs.create () in
   let later_pending = ref false in
@@ -81,6 +85,9 @@ let aggregating_dynamic_send (d : Tm.dynamic_send) =
   in
   { bs_name = "aggregating-dynamic"; append; commit = flush }
 
+(* Receives [Receive_express] buffers immediately; defers
+   [Receive_cheaper] ones until checkout (or until a later express
+   extraction forces the stream order). *)
 let dynamic_recv (d : Tm.dynamic_recv) =
   let deferred = Bufs.create () in
   let drain () =
@@ -189,6 +196,10 @@ let static_copy_send (s : Tm.static_send) =
   in
   { bs_name = "static-copy"; append; commit }
 
+(* Mirror of [static_copy_send]: tracks the sender's slot layout by
+   running the same capacity arithmetic, and raises
+   [Config.Symmetry_violation] if a consumed slot's actual length
+   disagrees with the mirrored layout. *)
 let static_copy_recv (s : Tm.static_recv) =
   let capacity = s.Tm.recv_capacity in
   if capacity <= 0 then invalid_arg "Bmm.static_copy_recv: capacity <= 0";

@@ -27,29 +27,9 @@ type recv = {
   checkout : unit -> unit;
 }
 
-val eager_dynamic_send : Tm.dynamic_send -> send
-(** Ships each buffer as soon as it is packed (unless held back by a
-    pending [Send_later]). *)
-
-val aggregating_dynamic_send : Tm.dynamic_send -> send
-(** Groups buffers until commit (or until a [Receive_express] buffer
-    forces a flush so the receiver can see it immediately). [Send_safer]
-    buffers are staged through a copy, paid at memcpy rate. *)
-
-val dynamic_recv : Tm.dynamic_recv -> recv
-(** Receives [Receive_express] buffers immediately; defers
-    [Receive_cheaper] ones until checkout (or until a later express
-    extraction forces the stream order). *)
-
 val static_copy_send : Tm.static_send -> send
 (** Stages buffers into TM slots, splitting oversized buffers across
     slots; the TM's [write_static] models the copy cost. *)
-
-val static_copy_recv : Tm.static_recv -> recv
-(** Mirror of {!static_copy_send}: tracks the sender's slot layout by
-    running the same capacity arithmetic, and raises
-    {!Config.Symmetry_violation} if a consumed slot's actual length
-    disagrees with the mirrored layout. *)
 
 val send_of_tm : aggregation:bool -> Tm.send -> send
 (** Picks the BMM matching the TM's buffer shape ([aggregation] selects

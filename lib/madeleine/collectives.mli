@@ -127,6 +127,3 @@ val tree_spine : t -> (int * int) list
 (** The [(rank, parent)] edges of the tree the current generation
     would use, rooted at the lowest live rank — for tests asserting
     that an Overloaded gateway was kept off the spine. *)
-
-val tree_depth : t -> int
-(** Depth of that tree. *)

@@ -29,7 +29,6 @@ let epoch t = t.epoch
 let ranks t = t.ranks
 let coordinator t = t.coordinator
 let mem t rank = List.mem rank t.ranks
-let cardinal t = List.length t.ranks
 
 let join t rank =
   if mem t rank then

@@ -102,9 +102,6 @@ val crecv : comm -> src:int -> tag:int -> Bytes.t -> status
 val cbarrier : comm -> unit
 val cbcast : comm -> root:int -> Bytes.t -> unit
 
-val creduce :
-  comm -> root:int -> op:(Bytes.t -> Bytes.t -> Bytes.t) -> Bytes.t -> Bytes.t
-
 val callreduce :
   comm -> op:(Bytes.t -> Bytes.t -> Bytes.t) -> Bytes.t -> Bytes.t
 

@@ -134,11 +134,6 @@ let slow_receiver t ~fabric ~node ~mb_per_s =
          mb_per_s);
   (link_state t (fabric, node)).rx_cap_mb_s <- Some mb_per_s
 
-let clear_slow_receiver t ~fabric ~node =
-  match Hashtbl.find_opt t.links (fabric, node) with
-  | None -> ()
-  | Some l -> l.rx_cap_mb_s <- None
-
 let rx_cap t ~fabric ~node =
   match Hashtbl.find_opt t.links (fabric, node) with
   | None -> None

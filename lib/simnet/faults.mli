@@ -62,8 +62,6 @@ val slow_receiver : t -> fabric:string -> node:int -> mb_per_s:float -> unit
     [Invalid_argument] on a non-positive rate. Consumes no randomness —
     a throttled run is still deterministic. *)
 
-val clear_slow_receiver : t -> fabric:string -> node:int -> unit
-
 val rx_cap : t -> fabric:string -> node:int -> float option
 (** The receive-rate cap configured with {!slow_receiver}, if any. *)
 

@@ -66,7 +66,6 @@ let create engine ~name ~capacity_mb_s ?(contention_factor = 1.0)
   }
 
 let name t = t.fluid_name
-let active_count t = List.length t.active
 let total_bytes t = t.moved.fv
 let busy_time t = t.busy_ns
 

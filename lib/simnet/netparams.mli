@@ -78,9 +78,6 @@ val sisci_dma_setup : Marcel.Time.span
 val sisci_dma_rate_cap_mb_s : float
 (** The notoriously poor D310 DMA engine: 35 MB/s. *)
 
-val sisci_segment_copy_rate_mb_s : float
-(** CPU memcpy into a mapped remote segment (PIO write-combined). *)
-
 (** {1 TCP / Fast Ethernet software constants} *)
 
 val tcp_send_overhead : Marcel.Time.span

@@ -77,9 +77,6 @@ let connect t ~node_id ~segment_id =
       | None -> raise Not_found
       | Some seg -> { local_end = t; remote = seg })
 
-let segment_size seg = Bytes.length seg.mem
-let remote_size rs = Bytes.length rs.remote.mem
-
 let check_bounds mem ~off ~len op =
   if off < 0 || len < 0 || off + len > Bytes.length mem then
     invalid_arg (op ^ ": out of segment bounds")
@@ -234,9 +231,6 @@ let deregister r =
   if not r.r_active then invalid_arg "Sisci.deregister: already deregistered";
   r.r_active <- false;
   Simnet.Cost.unpin r.r_len
-
-let region_base r = r.r_pos
-let region_length r = r.r_len
 
 (* Expose a registered region as a connectable segment: the receiver side
    of a rendezvous registers its user buffer and hands the (id, offset)

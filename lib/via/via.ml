@@ -120,8 +120,6 @@ let deregister r =
   r.v_active <- false;
   Simnet.Cost.unpin r.v_len
 
-let region_length r = r.v_len
-
 (* Publish a registered region as an RDMA-write target. The returned
    cookie travels to the sender in the rendezvous clear-to-send; it is
    host-local, so only peers told the cookie can address the region.

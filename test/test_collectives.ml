@@ -135,36 +135,40 @@ let test_flat_baseline () =
 
 let test_crash_mid_barrier () =
   let c = Chaos.coll_crash_barrier_run ~seed:42 in
-  check_gates "crash-barrier" (Chaos.coll_gates c)
+  check_gates "crash-barrier" c.Chaos.gates
 
 let test_overloaded_spine_reroute () =
   let c =
     Chaos.coll_spine_overload_run ~seed:42 ~size:4096 ~messages:24 ~credits:64
       ~gw_pool:4 ~rx_cap_mb_s:1.0
   in
-  check_gates "spine-overload" (Chaos.coll_gates c)
+  check_gates "spine-overload" c.Chaos.gates
 
 let test_rolling_allreduce () =
   let c = Chaos.coll_rolling_allreduce_run ~seed:42 ~clusters:4 ~per:4 in
-  check_gates "rolling-allreduce" (Chaos.coll_gates c)
+  check_gates "rolling-allreduce" c.Chaos.gates
 
 (* The restarted rank rejoins through the decision journal: its late
    contribution is answered with the recorded decision (or dropped as
    a duplicate), never double-counted. *)
 let test_restart_rejoins_exactly_once () =
   let c = Chaos.coll_crash_barrier_run ~seed:7 in
-  Alcotest.(check int) "everyone completed" c.Chaos.co_expected
-    c.Chaos.co_completed;
-  Alcotest.(check bool) "survivors agree" true c.Chaos.co_agree;
-  Alcotest.(check bool) "value = sum over covered set" true c.Chaos.co_value_ok;
+  Alcotest.(check int) "everyone completed" (Chaos.int_metric c "expected")
+    (Chaos.int_metric c "completed");
+  Alcotest.(check bool) "survivors agree" true (Chaos.bool_metric c "agree");
+  Alcotest.(check bool) "value = sum over covered set" true
+    (Chaos.bool_metric c "value_ok");
   Alcotest.(check bool) "restarted rank rejoined from the journal" true
-    c.Chaos.co_rejoined;
-  Alcotest.(check bool) "repair generations ran" true (c.Chaos.co_repairs > 0)
+    (Chaos.bool_metric c "rejoined");
+  Alcotest.(check bool) "repair generations ran" true
+    (Chaos.int_metric c "repairs" > 0)
 
 (* Same seed, same world, same schedule — byte-identical outcome
    (including the virtual finish time). *)
 let test_deterministic_per_seed () =
-  let line () = Chaos.coll_line (Chaos.coll_crash_barrier_run ~seed:11) in
+  let line () =
+    Chaos.render ~seed:11 ~quick:false [ Chaos.coll_crash_barrier_run ~seed:11 ]
+  in
   Alcotest.(check string) "same seed, same line" (line ()) (line ())
 
 (* ------------------------------------------------------------------ *)

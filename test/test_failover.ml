@@ -13,6 +13,11 @@ module Vc = Madeleine.Vchannel
 
 let payload n seed = Simnet.Rng.bytes (Simnet.Rng.create ~seed) n
 
+(* The elements of a list-valued chaos metric. *)
+let elements = function
+  | Chaos.List l -> l
+  | _ -> Alcotest.fail "chaos metric is not a list"
+
 let contains msg sub =
   let n = String.length msg and m = String.length sub in
   let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
@@ -44,14 +49,17 @@ let single_channel_world () =
 
 let test_gateway_crash_failover () =
   let f = Chaos.failover_run ~seed:42 ~size:16384 ~messages:4 in
-  Alcotest.(check bool) "all messages intact" true f.Chaos.fo_intact;
-  Alcotest.(check bool) "routes were recomputed" true (f.Chaos.fo_reroutes >= 1);
+  Alcotest.(check bool) "all messages intact" true (Chaos.bool_metric f "intact");
+  Alcotest.(check bool) "routes were recomputed" true
+    (Chaos.int_metric f "reroutes" >= 1);
   Alcotest.(check bool) "unacked packets re-emitted" true
-    (f.Chaos.fo_reemitted > 0);
+    (Chaos.int_metric f "reemitted" > 0);
   Alcotest.(check bool) "crashed gateway left the route" true
-    (not (List.mem f.Chaos.fo_crashed_gateway f.Chaos.fo_route_after));
+    (not
+       (List.mem (Chaos.metric f "crashed_gateway")
+          (elements (Chaos.metric f "route_after"))));
   Alcotest.(check bool) "losing the last gateway partitions" true
-    f.Chaos.fo_partitioned
+    (Chaos.bool_metric f "partitioned_after_second_crash")
 
 let test_single_channel_reliable_then_partitioned () =
   let engine, faults, vc = single_channel_world () in
@@ -114,25 +122,31 @@ let test_route_queries_invalid_rank () =
 let test_crash_restart_exactly_once () =
   let r = Chaos.crash_restart_run ~seed:42 ~size:16384 ~messages:3 in
   Alcotest.(check bool) "delivered exactly once, bit-identical" true
-    r.Chaos.cr_exactly_once;
-  Alcotest.(check int) "both phases fully delivered" 6 r.Chaos.cr_delivered;
+    (Chaos.bool_metric r "exactly_once");
+  Alcotest.(check int) "both phases fully delivered" 6
+    (Chaos.int_metric r "delivered");
   Alcotest.(check bool) "crash-epoch handshake completed" true
-    (r.Chaos.cr_handshakes >= 1);
-  Alcotest.(check bool) "routes were recomputed" true (r.Chaos.cr_reroutes >= 1);
+    (Chaos.int_metric r "handshakes" >= 1);
+  Alcotest.(check bool) "routes were recomputed" true
+    (Chaos.int_metric r "reroutes" >= 1);
   Alcotest.(check bool) "sentinels observed the outage" true
-    (r.Chaos.cr_suspicions <> []);
+    (elements (Chaos.metric r "suspicions") <> []);
   (* Once the stream completes, every origin re-emission log is empty:
      everything sent in the current epoch has been acknowledged. *)
   List.iter
-    (fun f -> Alcotest.(check int) "origin log drained" 0 f.Vc.unacked)
-    r.Chaos.cr_flows
+    (function
+      | Chaos.Obj f ->
+          Alcotest.(check int) "origin log drained" 0
+            (match List.assoc "unacked" f with Chaos.Int n -> n | _ -> -1)
+      | _ -> Alcotest.fail "flow entry is not an object")
+    (elements (Chaos.metric r "flows"))
 
 let test_window_beats_stop_and_wait () =
   let g = Chaos.goodput_run ~seed:42 ~size:1024 ~messages:256 ~window:8
       ~drop:0.01 in
-  Alcotest.(check bool) "both streams intact" true g.Chaos.gp_intact;
+  Alcotest.(check bool) "both streams intact" true (Chaos.bool_metric g "intact");
   Alcotest.(check bool) "go-back-N >= 2x stop-and-wait at 1% drop" true
-    (g.Chaos.gp_speedup >= 2.0)
+    (Chaos.float_metric g "speedup" >= 2.0)
 
 (* ------------------------------------------------------------------ *)
 (* Live topology: a 4-rank redundant-gateway world with the membership
@@ -589,12 +603,141 @@ let prop_split_brain_safe =
       && stats.Vc.pending = 0
       && coordinator_live)
 
+(* Same seed, same bytes, whatever the worker count: the serial
+   reference against a two-domain pool. *)
 let test_chaos_report_reproducible () =
-  let report () =
-    Chaos.to_json (Chaos.run Sweeps.serial_runner ~seed:42 ~quick:true)
+  let report runner =
+    Chaos.to_json ~seed:42 ~quick:true
+      (Chaos.run runner ~seed:42 ~quick:true Chaos.sweep)
   in
-  Alcotest.(check string) "same seed, byte-identical report" (report ())
-    (report ())
+  let pooled =
+    Parsim.with_pool ~jobs:2 (fun pool -> report (Sweeps.pool_runner pool))
+  in
+  Alcotest.(check string) "same seed, byte-identical report for any --jobs"
+    (report Sweeps.serial_runner) pooled
+
+(* The gate names are the CI contract: pinned here, in order, for the
+   sweep and for every single scenario, and all passing at seed 42. *)
+let sweep_gates =
+  [
+    "rows-intact"; "failover-intact"; "failover-partition-detected";
+    "failover-rerouted"; "goodput-intact"; "goodput-window-speedup";
+    "crash-restart-exactly-once"; "crash-restart-handshake";
+    "overload-intact"; "overload-queues-bounded"; "overload-sender-stalled";
+    "overload-rate-mismatch"; "slow-gateway-intact";
+    "slow-gateway-queues-bounded"; "slow-gateway-overload-reported";
+    "slow-gateway-overload-cleared"; "slow-gateway-ingress-throttled";
+    "sched-aggreg-intact"; "sched-aggreg-merged";
+    "rolling-restart-exactly-once"; "rolling-restart-no-dup-deliveries";
+    "rolling-restart-no-partition"; "rolling-restart-queues-bounded";
+    "rolling-restart-epochs-advanced"; "join-under-load-no-partition";
+    "join-under-load-routable"; "drain-under-load-no-partition";
+    "drain-under-load-forgotten";
+  ]
+
+let single_gates =
+  [
+    ( "rolling-restart",
+      [
+        "rolling-restart-exactly-once"; "rolling-restart-no-dup-deliveries";
+        "rolling-restart-no-partition"; "rolling-restart-queues-bounded";
+        "rolling-restart-epochs-advanced";
+      ] );
+    ( "partition-majority",
+      [
+        "partition-majority: at most one coordinator committed per epoch";
+        "partition-majority: majority goodput continued during the cut";
+        "partition-majority: minority surfaced typed errors, never hung";
+        "partition-majority: no intent left parked after the heal";
+        "partition-majority: post-heal delivery exactly-once, bit-identical";
+        "partition-majority: coordinator seat never moved";
+        "partition-majority: heal replayed the parked join";
+      ] );
+    ( "coordinator-loss",
+      [
+        "coordinator-loss: at most one coordinator committed per epoch";
+        "coordinator-loss: majority goodput continued during the cut";
+        "coordinator-loss: minority surfaced typed errors, never hung";
+        "coordinator-loss: no intent left parked after the heal";
+        "coordinator-loss: post-heal delivery exactly-once, bit-identical";
+        "coordinator-loss: majority elected a replacement coordinator";
+        "coordinator-loss: re-election latency measured";
+      ] );
+    ( "partition-flapping",
+      [
+        "partition-flapping: at most one coordinator committed per epoch";
+        "partition-flapping: majority goodput continued during the cut";
+        "partition-flapping: minority surfaced typed errors, never hung";
+        "partition-flapping: no intent left parked after the heal";
+        "partition-flapping: post-heal delivery exactly-once, bit-identical";
+        "partition-flapping: every flap forced a committed re-election";
+        "partition-flapping: membership survived the flapping";
+      ] );
+    ( "join-under-load",
+      [ "join-under-load-no-partition"; "join-under-load-routable" ] );
+    ( "drain-under-load",
+      [ "drain-under-load-no-partition"; "drain-under-load-forgotten" ] );
+    ( "coll-crash-barrier",
+      [
+        "coll-crash-barrier-completed"; "coll-crash-barrier-agree";
+        "coll-crash-barrier-exactly-once";
+        "coll-crash-barrier-rejoined-from-journal";
+        "coll-crash-barrier-repaired";
+      ] );
+    ( "coll-spine-overload",
+      [
+        "coll-spine-overload-completed"; "coll-spine-overload-agree";
+        "coll-spine-overload-exactly-once";
+        "coll-spine-overload-spine-avoids-overloaded";
+      ] );
+    ( "coll-rolling-allreduce",
+      [
+        "coll-rolling-allreduce-completed"; "coll-rolling-allreduce-agree";
+        "coll-rolling-allreduce-exactly-once";
+        "coll-rolling-allreduce-rejoined-from-journal";
+        "coll-rolling-allreduce-repaired";
+      ] );
+    ( "coll-scale",
+      [
+        "coll-scale-tree-log-rounds"; "coll-scale-speedup";
+        "coll-scale-combining";
+      ] );
+  ]
+
+let test_gate_names_pinned () =
+  let check what expected chosen =
+    let results = Chaos.run Sweeps.serial_runner ~seed:42 ~quick:true chosen in
+    let gates = List.concat_map (fun (r : Chaos.result) -> r.gates) results in
+    Alcotest.(check (list string)) (what ^ ": gate names") expected
+      (List.map fst gates);
+    Alcotest.(check (list string)) (what ^ ": failing gates") []
+      (Chaos.failing_gates results)
+  in
+  Alcotest.(check int) "28 sweep gates" 28 (List.length sweep_gates);
+  check "sweep" sweep_gates Chaos.sweep;
+  List.iter
+    (fun (name, expected) ->
+      check name expected
+        (List.filter (fun (s : Chaos.scenario) -> s.name = name) Chaos.scenarios))
+    single_gates
+
+(* A zero stop-and-wait rate would make a ratio infinite: the writer
+   must still emit strict JSON. *)
+let test_json_non_finite_is_null () =
+  let r =
+    {
+      Chaos.name = "goodput";
+      metrics =
+        [
+          ("speedup", Chaos.Float Float.infinity); ("x", Chaos.Float Float.nan);
+        ];
+      gates = [];
+    }
+  in
+  let json = Chaos.to_json ~seed:1 ~quick:true [ r ] in
+  Alcotest.(check bool) "infinity is null" true
+    (contains json "\"speedup\": null");
+  Alcotest.(check bool) "nan is null" true (contains json "\"x\": null")
 
 let () =
   Alcotest.run "failover"
@@ -632,5 +775,8 @@ let () =
         [
           Alcotest.test_case "report reproducible" `Slow
             test_chaos_report_reproducible;
+          Alcotest.test_case "gate names pinned" `Slow test_gate_names_pinned;
+          Alcotest.test_case "json: non-finite floats are null" `Quick
+            test_json_non_finite_is_null;
         ] );
     ]

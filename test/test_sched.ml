@@ -219,8 +219,10 @@ let test_chaos_drop_bit_identical () =
   let sc =
     Chaos.sched_aggreg_run ~seed:7 ~flows:8 ~messages:3 ~size:256 ~drop:0.01
   in
-  Alcotest.(check bool) "intact under 1% drop" true sc.Chaos.sc_intact;
-  Alcotest.(check bool) "merged under 1% drop" true (sc.Chaos.sc_merged > 0)
+  Alcotest.(check bool) "intact under 1% drop" true
+    (Chaos.bool_metric sc "intact");
+  Alcotest.(check bool) "merged under 1% drop" true
+    (Chaos.int_metric sc "merged" > 0)
 
 let () =
   Alcotest.run "sched"
