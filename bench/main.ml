@@ -24,15 +24,21 @@ let header text =
 
 let bw n span = Time.rate_mb_s ~bytes_count:n span
 
-(* The pool every section shares; created in [main] once the --jobs
-   flag is known. *)
+(* The pool every section shares, sized by --jobs. It is created on
+   first use, so a run of sections that never fan out (simspeed alone)
+   has no idle worker domains: those still join every stop-the-world
+   collection and would tax the serial timings. *)
+let pool_jobs : int option ref = ref None
 let the_pool : Parsim.pool option ref = ref None
 
 let pool () =
   match !the_pool with
   | Some p -> p
   | None ->
-      let p = Parsim.create ~jobs:(Parsim.default_jobs ()) in
+      let jobs =
+        match !pool_jobs with Some j -> j | None -> Parsim.default_jobs ()
+      in
+      let p = Parsim.create ~jobs in
       the_pool := Some p;
       p
 
@@ -804,15 +810,21 @@ let simspeed_read_baseline file =
        let line = input_line ic in
        match
          ( simspeed_string_field line "scenario",
+           simspeed_float_field line "events",
            simspeed_float_field line "events_per_s" )
        with
-       | Some name, Some rate -> acc := (name, rate) :: !acc
+       | Some name, Some events, Some rate ->
+           acc := (name, (int_of_float events, rate)) :: !acc
        | _ -> ()
      done
    with End_of_file -> ());
   close_in ic;
   List.rev !acc
 
+(* A scenario fails when its host speed drops below the floor, or when
+   its event count differs from the baseline's: the counts are a pure
+   function of the code, so a mismatch means the simulator's event
+   schedule changed. *)
 let simspeed_gate baseline_file results =
   let tolerance = 0.20 in
   let baseline = simspeed_read_baseline baseline_file in
@@ -822,13 +834,20 @@ let simspeed_gate baseline_file results =
   end
   else
     List.iter
-      (fun (label, _, _, rate, _) ->
+      (fun (label, events, _, rate, _) ->
         match List.assoc_opt label baseline with
         | None ->
             Printf.printf "  GATE WARN: %S not in baseline %s\n%!" label
               baseline_file
-        | Some base ->
+        | Some (base_events, base) ->
             let ratio = rate /. Float.max 1e-9 base in
+            if events <> base_events then begin
+              Printf.printf
+                "  GATE FAIL: %-34s %d events vs baseline %d events (event \
+                 schedule changed)\n%!"
+                label events base_events;
+              simspeed_gate_failed := true
+            end;
             if ratio < 1.0 -. tolerance then begin
               Printf.printf
                 "  GATE FAIL: %-34s %8.2f Mev/s vs baseline %8.2f Mev/s \
@@ -903,27 +922,25 @@ let simspeed_gate_rendezvous ~gain =
 
 let simspeed () =
   header "Simulator throughput -- discrete events per host wall-clock second";
-  let serial_pool = Parsim.create ~jobs:1 in
-  let domain_pool = Parsim.create ~jobs:parallel_sweep_domains in
-  let scenarios =
-    simspeed_scenarios
-    @ [
-        (parallel_serial_label, fun () -> parallel_sweep_events serial_pool);
-        (parallel_domains_label, fun () -> parallel_sweep_events domain_pool);
-      ]
+  let measure (label, f) =
+    let events, wall = simspeed_measure f in
+    let rate = float_of_int events /. wall in
+    Printf.printf "  %-34s %9d events, %8.2f Mev/s\n%!" label events
+      (rate /. 1e6);
+    (label, events, wall, rate, "")
   in
-  let results =
-    List.map
-      (fun (label, f) ->
-        let events, wall = simspeed_measure f in
-        let rate = float_of_int events /. wall in
-        Printf.printf "  %-34s %9d events, %8.2f Mev/s\n%!" label events
-          (rate /. 1e6);
-        (label, events, wall, rate, ""))
-      scenarios
+  (* Each pool lives only while its own scenario runs, so no serial
+     scenario shares the process with idle worker domains. *)
+  let with_pool jobs label =
+    let p = Parsim.create ~jobs in
+    let r = measure (label, fun () -> parallel_sweep_events p) in
+    Parsim.shutdown p;
+    r
   in
-  Parsim.shutdown serial_pool;
-  Parsim.shutdown domain_pool;
+  let serial = List.map measure simspeed_scenarios in
+  let sweep_serial = with_pool 1 parallel_serial_label in
+  let sweep_domains = with_pool parallel_sweep_domains parallel_domains_label in
+  let results = serial @ [ sweep_serial; sweep_domains ] in
   let rate_of l =
     List.find_map
       (fun (label, _, _, rate, _) -> if label = l then Some rate else None)
@@ -1011,7 +1028,6 @@ let sections =
   ]
 
 let () =
-  let jobs_req : int option ref = ref None in
   let rec parse_flags = function
     | [] -> []
     | "--json" :: rest ->
@@ -1026,7 +1042,7 @@ let () =
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
         | Some j when j >= 1 ->
-            jobs_req := Some j;
+            pool_jobs := Some j;
             parse_flags rest
         | _ ->
             Printf.eprintf "--jobs requires a positive integer\n";
@@ -1041,10 +1057,6 @@ let () =
     | [] -> List.map fst sections
     | names -> names
   in
-  let jobs =
-    match !jobs_req with Some j -> j | None -> Parsim.default_jobs ()
-  in
-  the_pool := Some (Parsim.create ~jobs);
   List.iter
     (fun name ->
       match List.assoc_opt name sections with

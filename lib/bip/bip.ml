@@ -118,7 +118,6 @@ let nic_stream net ~src ~dst =
       let wire fluid = { Simnet.Pipeline.fluid; weight = 1.0; rate_cap = None; cls = 0 } in
       let st =
         Simnet.Stream.create net.engine
-          ~name:(Printf.sprintf "bip.short.%d->%d" src dst)
           ~stages:
             [
               Simnet.Pipeline.stage

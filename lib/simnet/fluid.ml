@@ -190,28 +190,42 @@ and complete t =
       List.iter (fun x -> x.wake ()) finished);
   reschedule t
 
-let transfer t ~bytes_count ~weight ?rate_cap ?(cls = 0) () =
+let check_args ~bytes_count ~weight ~rate_cap =
   if bytes_count < 0 then invalid_arg "Fluid.transfer: negative size";
   if weight <= 0.0 then invalid_arg "Fluid.transfer: weight <= 0";
-  (match rate_cap with
+  match rate_cap with
   | Some c when c <= 0.0 -> invalid_arg "Fluid.transfer: rate_cap <= 0"
-  | Some _ | None -> ());
-  if bytes_count > 0 then begin
-    t.moved.fv <- t.moved.fv +. float_of_int bytes_count;
-    Engine.suspend ~name:t.suspend_name (fun wake ->
-        advance t;
-        let capped, cap =
-          match rate_cap with Some c -> (true, c) | None -> (false, infinity)
-        in
-        let x =
-          {
-            fl =
-              { weight; cap; remaining = float_of_int bytes_count; rate = 0.0 };
-            capped;
-            cls;
-            wake;
-          }
-        in
-        t.active <- x :: t.active;
-        reschedule t)
-  end
+  | Some _ | None -> ()
+
+(* The one join path of both transfer forms: account the bytes, add the
+   transfer to the active set and reallocate. [wake] runs when it
+   completes. *)
+let join t ~bytes_count ~weight ~rate_cap ~cls wake =
+  t.moved.fv <- t.moved.fv +. float_of_int bytes_count;
+  advance t;
+  let capped, cap =
+    match rate_cap with Some c -> (true, c) | None -> (false, infinity)
+  in
+  let x =
+    {
+      fl = { weight; cap; remaining = float_of_int bytes_count; rate = 0.0 };
+      capped;
+      cls;
+      wake;
+    }
+  in
+  t.active <- x :: t.active;
+  reschedule t
+
+let transfer t ~bytes_count ~weight ?rate_cap ?(cls = 0) () =
+  check_args ~bytes_count ~weight ~rate_cap;
+  if bytes_count > 0 then
+    Engine.suspend ~name:t.suspend_name
+      (join t ~bytes_count ~weight ~rate_cap ~cls)
+
+let transfer_then t ~bytes_count ~weight ?rate_cap ?(cls = 0) k =
+  check_args ~bytes_count ~weight ~rate_cap;
+  if bytes_count > 0 then
+    join t ~bytes_count ~weight ~rate_cap ~cls (fun () ->
+        Engine.at t.engine (Engine.now t.engine) k)
+  else k ()

@@ -52,6 +52,20 @@ val transfer :
     labels the transaction class (default [0]); it only affects which
     contention factor applies when classes mix. *)
 
+val transfer_then :
+  t ->
+  bytes_count:int ->
+  weight:float ->
+  ?rate_cap:float ->
+  ?cls:int ->
+  (unit -> unit) ->
+  unit
+(** Callback form of {!transfer}, usable from event context: joins the
+    same schedule and returns at once; the continuation runs in a new
+    event at the instant the transfer completes — the instant a thread
+    blocked in {!transfer} would resume. A zero-byte transfer runs the
+    continuation directly. *)
+
 val total_bytes : t -> float
 (** Total bytes moved through this resource since creation. *)
 

@@ -1,59 +1,24 @@
-module Engine = Marcel.Engine
-module Time = Marcel.Time
-module Mailbox = Marcel.Mailbox
-
 (* Interior fragments carry the shared [no_callback] instead of an
    [option]: one fewer allocation per fragment on the hot path. *)
 let no_callback () = ()
 
-type fragment = { frag_len : int; on_delivered : unit -> unit }
+type t = { mtu : int; intake : Pipeline.fragment -> unit }
 
-type t = { mtu : int; intake : fragment Mailbox.t }
-
-let create engine ~name ~stages ~mtu =
+(* The trailing cost-free stage is the delivery point: a fragment that
+   finds it idle is delivered in a new event at its arrival instant, and
+   fragments arriving while one is pending are delivered in that same
+   event, in order. *)
+let create engine ~stages ~mtu =
   if stages = [] then invalid_arg "Stream.create: no stages";
   if mtu <= 0 then invalid_arg "Stream.create: mtu <= 0";
-  let n = List.length stages in
-  let boxes = Array.init (n + 1) (fun _ -> Mailbox.create ()) in
-  List.iteri
-    (fun i (st : Pipeline.stage) ->
-      Engine.spawn engine ~daemon:true
-        ~name:(Printf.sprintf "stream:%s:%s" name st.Pipeline.label)
-        (fun () ->
-          while true do
-            let frag = Mailbox.take boxes.(i) in
-            if Stdlib.( > ) st.Pipeline.per_fragment 0 then
-              Engine.sleep st.Pipeline.per_fragment;
-            (match st.Pipeline.use with
-            | Some { Pipeline.fluid; weight; rate_cap; cls } ->
-                Fluid.transfer fluid ~bytes_count:frag.frag_len ~weight
-                  ?rate_cap ~cls ()
-            | None -> ());
-            if Time.equal st.Pipeline.prop 0 then Mailbox.put boxes.(i + 1) frag
-            else begin
-              let deliver_at = Time.add (Engine.now engine) st.Pipeline.prop in
-              Engine.at engine deliver_at (fun () ->
-                  Mailbox.put boxes.(i + 1) frag)
-            end
-          done))
-    stages;
-  (* Final stage: run delivery callbacks in thread context. *)
-  Engine.spawn engine ~daemon:true
-    ~name:(Printf.sprintf "stream:%s:deliver" name)
-    (fun () ->
-      while true do
-        let frag = Mailbox.take boxes.(n) in
-        frag.on_delivered ()
-      done);
-  { mtu; intake = boxes.(0) }
+  { mtu; intake = Pipeline.chain engine (stages @ [ Pipeline.stage "deliver" ]) }
 
 let push t ~bytes_count ~on_delivered =
   if bytes_count < 0 then invalid_arg "Stream.push: negative size";
   let rec go remaining =
-    if remaining <= t.mtu then
-      Mailbox.put t.intake { frag_len = remaining; on_delivered }
+    if remaining <= t.mtu then t.intake { Pipeline.frag_len = remaining; on_delivered }
     else begin
-      Mailbox.put t.intake { frag_len = t.mtu; on_delivered = no_callback };
+      t.intake { Pipeline.frag_len = t.mtu; on_delivered = no_callback };
       go (remaining - t.mtu)
     end
   in

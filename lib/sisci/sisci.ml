@@ -131,7 +131,6 @@ let stream rs =
       let link = Fabric.link net.fabric in
       let st =
         Simnet.Stream.create net.engine
-          ~name:(Printf.sprintf "sci.%d->%d" src.Node.id dst.Node.id)
           ~stages:
             [
               Pipeline.stage

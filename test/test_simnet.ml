@@ -126,6 +126,25 @@ let test_fluid_zero_bytes_instant () =
   in
   Alcotest.(check int) "instant" 0 d
 
+let test_fluid_callback_form () =
+  (* A callback transfer shares the bus with a blocking one exactly as a
+     second blocking transfer would; zero bytes continue at once. *)
+  let e = Engine.create () in
+  let f = Fluid.create e ~name:"bus" ~capacity_mb_s:100.0 () in
+  let blocking = ref 0 and callback = ref 0 and empty = ref false in
+  Engine.spawn e ~name:"t" (fun () ->
+      Fluid.transfer f ~bytes_count:1_000_000 ~weight:1.0 ();
+      blocking := Engine.now e);
+  Engine.at e 0 (fun () ->
+      Fluid.transfer_then f ~bytes_count:1_000_000 ~weight:1.0 (fun () ->
+          callback := Engine.now e);
+      Fluid.transfer_then f ~bytes_count:0 ~weight:1.0 (fun () ->
+          empty := true);
+      Alcotest.(check bool) "zero bytes continue at once" true !empty);
+  Engine.run e;
+  close_to (Time.ms 20.0) !callback "callback half share";
+  Alcotest.(check int) "same instant as blocking" !blocking !callback
+
 let test_fluid_fair_sharing () =
   (* Two equal transfers share the bus; each effectively gets half. *)
   let d =
@@ -313,7 +332,7 @@ let test_stream_preserves_order () =
   let e = Engine.create () in
   let f = Fluid.create e ~name:"wire" ~capacity_mb_s:100.0 () in
   let st =
-    Simnet.Stream.create e ~name:"s"
+    Simnet.Stream.create e
       ~stages:
         [
           Pipeline.stage
@@ -337,7 +356,7 @@ let test_stream_pipelines_messages () =
   let f1 = Fluid.create e ~name:"s1" ~capacity_mb_s:100.0 () in
   let f2 = Fluid.create e ~name:"s2" ~capacity_mb_s:100.0 () in
   let st =
-    Simnet.Stream.create e ~name:"s"
+    Simnet.Stream.create e
       ~stages:
         [
           Pipeline.stage
@@ -359,6 +378,121 @@ let test_stream_pipelines_messages () =
   (* 1 MB at 100 MB/s per stage = 1 ms per stage per message; pipelined:
      (4 + 2 - 1) * 1ms = 5ms, not the 8ms of sequential execution. *)
   close_to (Time.ms 5.0) !last "pipelined stream"
+
+(* Two streams share one fluid, with stages paying both per-fragment
+   and propagation costs. The delivery instants are pinned, and so is
+   the event count: running a same-instant hand-off inline instead of
+   in its own event keeps these instants but changes the count, and
+   elsewhere it can move simulated time (see Pipeline.chain). *)
+let test_stream_contended_schedule () =
+  let e = Engine.create () in
+  let shared =
+    Fluid.create e ~name:"shared" ~capacity_mb_s:100.0 ~contention_factor:0.8 ()
+  in
+  let rx_a = Fluid.create e ~name:"rx-a" ~capacity_mb_s:40.0 () in
+  let rx_b = Fluid.create e ~name:"rx-b" ~capacity_mb_s:60.0 () in
+  let stream ~weight ~cls rx =
+    Simnet.Stream.create e
+      ~stages:
+        [
+          Pipeline.stage ~per_fragment:(Time.us 1.0)
+            ~use:{ Pipeline.fluid = shared; weight; rate_cap = None; cls }
+            ~prop:(Time.us 2.0) "tx";
+          Pipeline.stage ~per_fragment:(Time.us 0.5)
+            ~use:
+              { Pipeline.fluid = rx; weight = 1.0; rate_cap = Some 30.0; cls = 0 }
+            ~prop:(Time.us 0.25) "rx";
+        ]
+      ~mtu:1000
+  in
+  let a = stream ~weight:1.0 ~cls:0 rx_a and b = stream ~weight:2.0 ~cls:1 rx_b in
+  let log = ref [] in
+  let push st name bytes_count =
+    Simnet.Stream.push st ~bytes_count ~on_delivered:(fun () ->
+        log := (name, Engine.now e) :: !log)
+  in
+  Engine.spawn e ~name:"pusher" (fun () ->
+      push a "a0" 2500;
+      push b "b0" 1800;
+      push a "a1" 0;
+      Engine.sleep (Time.us 3.0);
+      push b "b1" 300;
+      push a "a2" 700);
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "delivery instants"
+    [
+      ("b0", 83001);
+      ("b1", 93501);
+      ("a0", 122835);
+      ("a1", 123335);
+      ("a2", 147169);
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "events" 76 (Engine.events_processed e)
+
+let test_stream_zero_bytes () =
+  (* One empty fragment: delivered once, after every fixed cost. *)
+  let e = Engine.create () in
+  let f = Fluid.create e ~name:"wire" ~capacity_mb_s:100.0 () in
+  let st =
+    Simnet.Stream.create e
+      ~stages:
+        [
+          Pipeline.stage ~per_fragment:(Time.us 1.0) ~prop:(Time.us 2.0) "sw";
+          Pipeline.stage ~per_fragment:(Time.us 0.5)
+            ~use:{ Pipeline.fluid = f; weight = 1.0; rate_cap = None; cls = 0 }
+            "rx";
+        ]
+      ~mtu:1024
+  in
+  let at = ref [] in
+  Engine.spawn e ~name:"pusher" (fun () ->
+      Simnet.Stream.push st ~bytes_count:0 ~on_delivered:(fun () ->
+          at := Engine.now e :: !at));
+  Engine.run e;
+  Alcotest.(check (list int)) "delivered once at 3.5us" [ Time.us 3.5 ] !at
+
+let test_pipeline_matches_stream () =
+  (* A blocking run and a one-message stream over the same stages finish
+     at the same instant. *)
+  let stages e =
+    let f1 = Fluid.create e ~name:"s1" ~capacity_mb_s:100.0 () in
+    let f2 = Fluid.create e ~name:"s2" ~capacity_mb_s:30.0 () in
+    [
+      Pipeline.stage ~per_fragment:(Time.us 1.0)
+        ~use:{ Pipeline.fluid = f1; weight = 1.0; rate_cap = None; cls = 0 }
+        ~prop:(Time.us 2.0) "s1";
+      Pipeline.stage ~per_fragment:(Time.us 0.5)
+        ~use:{ Pipeline.fluid = f2; weight = 1.0; rate_cap = Some 20.0; cls = 0 }
+        "s2";
+    ]
+  in
+  let via_run =
+    run_timed (fun e ->
+        Pipeline.run e ~stages:(stages e) ~bytes_count:2500 ~mtu:1000)
+  in
+  let e = Engine.create () in
+  let st = Simnet.Stream.create e ~stages:(stages e) ~mtu:1000 in
+  let via_stream = ref 0 in
+  Engine.spawn e ~name:"pusher" (fun () ->
+      Simnet.Stream.push st ~bytes_count:2500 ~on_delivered:(fun () ->
+          via_stream := Engine.now e));
+  Engine.run e;
+  Alcotest.(check int) "same finish instant" via_run !via_stream
+
+let test_stream_blocking_callback_raises () =
+  (* [on_delivered] runs in event context: blocking there is an error
+     that stops the run, not a silent hang. *)
+  let e = Engine.create () in
+  let st = Simnet.Stream.create e ~stages:[ Pipeline.stage "x" ] ~mtu:64 in
+  let never = Marcel.Mailbox.create () in
+  Engine.spawn e ~name:"pusher" (fun () ->
+      Simnet.Stream.push st ~bytes_count:8 ~on_delivered:(fun () ->
+          Marcel.Mailbox.take never));
+  match Engine.run e with
+  | () -> Alcotest.fail "a blocking on_delivered went unnoticed"
+  | exception Effect.Unhandled _ -> ()
 
 let test_fabric_attach () =
   let e = Engine.create () in
@@ -520,6 +654,7 @@ let () =
         [
           Alcotest.test_case "single transfer" `Quick test_fluid_single_transfer;
           Alcotest.test_case "zero bytes" `Quick test_fluid_zero_bytes_instant;
+          Alcotest.test_case "callback form" `Quick test_fluid_callback_form;
           Alcotest.test_case "fair sharing" `Quick test_fluid_fair_sharing;
           Alcotest.test_case "rate cap" `Quick test_fluid_rate_cap;
           Alcotest.test_case "weighted priority" `Quick
@@ -545,6 +680,11 @@ let () =
             test_stream_preserves_order;
           Alcotest.test_case "pipelines messages" `Quick
             test_stream_pipelines_messages;
+          Alcotest.test_case "contended schedule" `Quick
+            test_stream_contended_schedule;
+          Alcotest.test_case "zero bytes" `Quick test_stream_zero_bytes;
+          Alcotest.test_case "blocking callback raises" `Quick
+            test_stream_blocking_callback_raises;
         ] );
       ("fabric", [ Alcotest.test_case "attach" `Quick test_fabric_attach ]);
       ( "pipeline",
@@ -556,6 +696,7 @@ let () =
           Alcotest.test_case "bottleneck dominates" `Quick
             test_pipeline_bottleneck_dominates;
           Alcotest.test_case "bad args" `Quick test_pipeline_rejects_bad_args;
+          Alcotest.test_case "matches stream" `Quick test_pipeline_matches_stream;
           QCheck_alcotest.to_alcotest prop_pipeline_single_stage_duration;
         ] );
     ]
