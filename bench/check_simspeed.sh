@@ -14,6 +14,11 @@
 # "sisci 1MB ping-pong" by >= 1.2x in simulated one-way bandwidth.
 # Deterministic for the same reason; the cold-cache scenario rides
 # along as a host-speed line only.
+# Also gates per-message allocation: the "10k flows 64B sched=aggreg"
+# scenario must allocate at most 256 words straight on the major heap
+# per message (major minus promoted words; one 16 KiB buffer per message
+# would be 2049). Deterministic, never skipped; both "10k flows" lines
+# record the figure as major_words_per_msg.
 #
 # Usage: bench/check_simspeed.sh [baseline.json]
 # Refresh the baseline with: dune exec bench/main.exe -- simspeed --json

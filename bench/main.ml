@@ -545,6 +545,12 @@ let sched_aggreg_label = "10k flows 64B sched=aggreg"
 let sched_fifo_finish_us = ref 0.0
 let sched_aggreg_finish_us = ref 0.0
 
+(* Words allocated straight on the major heap per message, i.e. (major -
+   promoted) on this domain over the run: a pure function of the code,
+   unlike host time, so the gate below can use a fixed bound. *)
+let sched_fifo_major_words = ref 0.0
+let sched_aggreg_major_words = ref 0.0
+
 let sched_flows_events ~aggreg =
   let w = H.two_cluster_world () in
   let vc =
@@ -555,6 +561,7 @@ let sched_flows_events ~aggreg =
   let total = sched_flows_senders * sched_flows_msgs in
   let fin = ref 0 in
   let out = Bytes.create sched_flows_size in
+  let _, promoted0, major0 = Gc.counters () in
   for s = 0 to sched_flows_senders - 1 do
     Marcel.Engine.spawn w.H.cw_engine ~name:(Printf.sprintf "s%d" s)
       (fun () ->
@@ -576,9 +583,12 @@ let sched_flows_events ~aggreg =
       done;
       finish := Marcel.Engine.now w.H.cw_engine);
   Marcel.Engine.run w.H.cw_engine;
+  let _, promoted1, major1 = Gc.counters () in
   assert (!fin = total);
   (if aggreg then sched_aggreg_finish_us else sched_fifo_finish_us) :=
     Marcel.Time.to_us !finish;
+  (if aggreg then sched_aggreg_major_words else sched_fifo_major_words) :=
+    (major1 -. major0 -. (promoted1 -. promoted0)) /. float total;
   Marcel.Engine.events_processed w.H.cw_engine
 
 (* The zero-copy rendezvous scenarios: the same 1 MB ping-pong as the
@@ -920,6 +930,25 @@ let simspeed_gate_rendezvous ~gain =
        %.1fx)\n%!"
       gain simspeed_rendezvous_floor
 
+(* The aggreg scenario's per-message cost must not regain a
+   per-message buffer: at 16 KiB mtu one [mtu]-sized allocation alone is
+   2049 words. Deterministic, so the bound always binds. *)
+let simspeed_major_words_bound = 256.0
+
+let simspeed_gate_major_words ~words =
+  if words > simspeed_major_words_bound then begin
+    Printf.printf
+      "  GATE FAIL: %s allocates %.1f major-heap words per message > %.0f \
+       bound\n%!"
+      sched_aggreg_label words simspeed_major_words_bound;
+    simspeed_gate_failed := true
+  end
+  else
+    Printf.printf
+      "  GATE OK:   %s allocates %.1f major-heap words per message (bound \
+       %.0f)\n%!"
+      sched_aggreg_label words simspeed_major_words_bound
+
 let simspeed () =
   header "Simulator throughput -- discrete events per host wall-clock second";
   let measure (label, f) =
@@ -963,6 +992,10 @@ let simspeed () =
     "  aggregation goodput: %.2fx over fifo (fifo %.0f us, aggreg %.0f us \
      simulated)\n%!"
     goodput_ratio !sched_fifo_finish_us !sched_aggreg_finish_us;
+  Printf.printf
+    "  major-heap words per message: fifo %.1f, aggreg %.1f (allocated \
+     straight on the major heap)\n%!"
+    !sched_fifo_major_words !sched_aggreg_major_words;
   let rendezvous_gain =
     if !rdv_zero_us > 0.0 then !rdv_staged_us /. !rdv_zero_us else 0.0
   in
@@ -980,12 +1013,21 @@ let simspeed () =
             rate,
             Printf.sprintf ", \"domains\": %d, \"speedup_vs_serial\": %.2f"
               parallel_sweep_domains speedup )
+        else if label = sched_fifo_label then
+          ( label,
+            events,
+            wall,
+            rate,
+            Printf.sprintf ", \"major_words_per_msg\": %.1f"
+              !sched_fifo_major_words )
         else if label = sched_aggreg_label then
           ( label,
             events,
             wall,
             rate,
-            Printf.sprintf ", \"goodput_ratio_vs_fifo\": %.2f" goodput_ratio )
+            Printf.sprintf
+              ", \"goodput_ratio_vs_fifo\": %.2f, \"major_words_per_msg\": %.1f"
+              goodput_ratio !sched_aggreg_major_words )
         else if label = rdv_zero_label then
           ( label,
             events,
@@ -1006,7 +1048,8 @@ let simspeed () =
       simspeed_gate file results;
       simspeed_gate_speedup ~speedup;
       simspeed_gate_aggregation ~ratio:goodput_ratio;
-      simspeed_gate_rendezvous ~gain:rendezvous_gain
+      simspeed_gate_rendezvous ~gain:rendezvous_gain;
+      simspeed_gate_major_words ~words:!sched_aggreg_major_words
 
 let sections =
   [

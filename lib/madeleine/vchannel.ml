@@ -247,6 +247,8 @@ type elect = {
 type t = {
   engine : Engine.t;
   mtu : int;
+  mutable staging_free : Bytes.t list;
+      (* idle [mtu]-sized pack staging buffers, recycled by [end_packing] *)
   patience : Time.span;
   gateway_overhead : Time.span;
   extra_gateway_copy : bool;
@@ -2027,6 +2029,7 @@ let create session ?(mtu = Config.default_vchannel_mtu)
     {
       engine = Session.engine session;
       mtu;
+      staging_free = [];
       patience;
       gateway_overhead;
       extra_gateway_copy;
@@ -2447,12 +2450,19 @@ let begin_packing ?(flow = 0) t ~me ~remote =
         invalid_arg
           (Printf.sprintf "Vchannel: no route from %d to %d" me remote));
   Mutex.lock (send_lock t ~src:me ~dst:remote ~flow);
+  let staging =
+    match t.staging_free with
+    | b :: rest ->
+        t.staging_free <- rest;
+        b
+    | [] -> Bytes.create t.mtu
+  in
   {
     v = t;
     oc_src = me;
     oc_dst = remote;
     oc_flow = flow;
-    staging = Bytes.create t.mtu;
+    staging;
     fill = 0;
     first_sent = false;
     oc_bulk = false;
@@ -2584,6 +2594,12 @@ let end_packing oc =
   Engine.sleep Config.end_overhead;
   ship oc ~last:true;
   oc.oc_closed <- true;
+  (* Madeleine's buffer contract: once the last packet's
+     [Api.end_packing] has returned, no TM still references the staging
+     buffer (the scheduler and the re-emission log hold copies), so the
+     next message may refill it. A failed [ship] closes the connection
+     without getting here: its buffer is left to the GC. *)
+  oc.v.staging_free <- oc.staging :: oc.v.staging_free;
   Mutex.unlock (send_lock oc.v ~src:oc.oc_src ~dst:oc.oc_dst ~flow:oc.oc_flow)
 
 (* Barrier flush: push every aggregate still buffered at [me] to the

@@ -448,6 +448,11 @@ val pack :
   unit
 
 val end_packing : out_connection -> unit
+(** Ships the last packet and closes the connection. The connection's
+    [mtu]-sized staging buffer goes back to the vchannel for the next
+    {!begin_packing}, which relies on every TM being done with a packed
+    buffer once [Api.end_packing] returns (docs/EXTENDING.md, "Buffer
+    ownership"). *)
 
 val flush : t -> me:int -> unit
 (** Barrier flush: ship every aggregate still buffered in [me]'s

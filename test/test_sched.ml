@@ -116,6 +116,57 @@ let test_fifo_and_unset_identical () =
   Alcotest.(check bool) "identical simulated schedule" true
     (Time.to_us t_none = Time.to_us t_fifo)
 
+(* Words allocated straight on the major heap per 64 B message, i.e.
+   (major - promoted) on this domain: one-message flows (or, unscheduled,
+   flow-0 messages) from 10 sender fibers through the gateway, on a
+   16 KiB-mtu vchannel. A per-message [mtu]-sized staging buffer alone
+   would cost 2049 words; the recycled one costs nothing per message. *)
+let major_words_per_msg ~aggreg =
+  let w = Harness.two_cluster_world () in
+  let vc =
+    Vc.create w.Harness.cw_session ~mtu:16384
+      ?sched:(if aggreg then Some (Sched.aggreg ()) else None)
+      [ w.Harness.ch_sci; w.Harness.ch_myri ]
+  in
+  let engine = w.Harness.cw_engine in
+  let senders = 10 and per_sender = 100 in
+  let total = senders * per_sender in
+  let out = Bytes.make 64 'x' in
+  let received = ref 0 in
+  let _, promoted0, major0 = Gc.counters () in
+  for s = 0 to senders - 1 do
+    Engine.spawn engine ~name:(Printf.sprintf "s%d" s) (fun () ->
+        for i = 0 to per_sender - 1 do
+          let flow = if aggreg then (s * per_sender) + i + 1 else 0 in
+          let oc = Vc.begin_packing vc ~flow ~me:0 ~remote:2 in
+          Vc.pack oc out;
+          Vc.end_packing oc
+        done)
+  done;
+  Engine.spawn engine ~name:"r" (fun () ->
+      let sink = Bytes.create 64 in
+      for _ = 1 to total do
+        let ic = Vc.begin_unpacking vc ~me:2 in
+        Vc.unpack ic sink;
+        Vc.end_unpacking ic;
+        if Bytes.equal sink out then incr received
+      done);
+  Engine.run engine;
+  let _, promoted1, major1 = Gc.counters () in
+  Alcotest.(check int) "every message delivered intact" total !received;
+  (major1 -. major0 -. (promoted1 -. promoted0)) /. float total
+
+let test_staging_allocation_per_message () =
+  let bound = 256.0 in
+  List.iter
+    (fun (label, aggreg) ->
+      let words = major_words_per_msg ~aggreg in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f major-heap words per message <= %.0f" label
+           words bound)
+        true (words <= bound))
+    [ ("sched=aggreg", true); ("unscheduled flow 0", false) ]
+
 let test_flow_needs_scheduler () =
   let w = Harness.two_cluster_world () in
   let vc =
@@ -239,6 +290,8 @@ let () =
             test_fifo_and_unset_identical;
           Alcotest.test_case "flow needs scheduler" `Quick
             test_flow_needs_scheduler;
+          Alcotest.test_case "staging allocation per message" `Quick
+            test_staging_allocation_per_message;
         ] );
       ( "reliability",
         [

@@ -475,6 +475,108 @@ let test_extra_copy_hurts () =
     (Printf.sprintf "copy hurts: %.1f > %.1f" zero_copy one_copy)
     true (zero_copy > one_copy)
 
+(* ------------------------------------------------------------------ *)
+(* Staging-buffer reuse *)
+
+(* The vchannel recycles its pack staging buffer as soon as
+   [end_packing] returns, so every TM a packet can ride must be done
+   with the packed bytes by then. An open-loop sender packs
+   back-to-back messages with distinct payloads and never waits for the
+   receiver: message k+1 refills the buffer while message k may still be
+   in flight. Sizes cover every TM: short and regular slots, multi-packet
+   messages whose full 4 KiB packets take the long path (BIP long, SISCI
+   DMA on transit hops) or, endpoint to endpoint, the zero-copy
+   rendezvous of SISCI and VIA. *)
+
+type net_kind = Tcp | Bip | Sisci | Via | Sbp
+
+let reuse_config =
+  {
+    Config.default with
+    Config.rendezvous_threshold = Some 2048;
+    sisci_use_dma = true;
+    sisci_dma_threshold = 2048;
+  }
+
+(* One channel of [kind] on its own fabric, joining [ranks]. *)
+let segment engine session kind node ranks =
+  let link =
+    match kind with
+    | Tcp | Via | Sbp -> Netparams.fast_ethernet
+    | Bip -> Netparams.myrinet
+    | Sisci -> Netparams.sci
+  in
+  let fabric = Fabric.create engine ~name:"seg" ~link in
+  List.iter (fun r -> Fabric.attach fabric (node r)) ranks;
+  let per_rank attach =
+    let table = List.map (fun r -> (r, attach (node r))) ranks in
+    fun r -> List.assoc r table
+  in
+  let driver =
+    match kind with
+    | Tcp ->
+        Madeleine.Pmm_tcp.driver
+          (per_rank (Tcpnet.attach (Tcpnet.make_net engine fabric)))
+    | Bip ->
+        Madeleine.Pmm_bip.driver
+          (per_rank (Bip.attach (Bip.make_net engine fabric)))
+    | Sisci ->
+        Madeleine.Pmm_sisci.driver
+          (per_rank (Sisci.attach (Sisci.make_net engine fabric)))
+    | Via ->
+        Madeleine.Pmm_via.driver
+          (per_rank (Via.attach (Via.make_net engine fabric)))
+    | Sbp ->
+        Madeleine.Pmm_sbp.driver
+          (per_rank (Sbp.attach (Sbp.make_net engine fabric)))
+  in
+  Channel.create session driver ~config:reuse_config ~ranks ()
+
+let open_loop_intact kind ~gateway =
+  let engine = Engine.create () in
+  let nodes =
+    Array.init 3 (fun i ->
+        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
+  in
+  let node r = nodes.(r) in
+  let session = Madeleine.Session.create engine in
+  let channels, dst =
+    if gateway then
+      ( [ segment engine session kind node [ 0; 1 ];
+          segment engine session kind node [ 1; 2 ] ],
+        2 )
+    else ([ segment engine session kind node [ 0; 1 ] ], 1)
+  in
+  let vc = Vc.create session ~mtu:4096 channels in
+  let sizes = [| 40; 700; 3000; 9000 |] in
+  let messages = 24 in
+  let size k = sizes.(k mod Array.length sizes) in
+  let data k = Harness.payload (size k) (Int64.of_int (k + 1)) in
+  let intact = ref 0 in
+  Engine.spawn engine ~name:"sender" (fun () ->
+      for k = 0 to messages - 1 do
+        let oc = Vc.begin_packing vc ~me:0 ~remote:dst in
+        Vc.pack oc (data k);
+        Vc.end_packing oc
+      done);
+  Engine.spawn engine ~name:"receiver" (fun () ->
+      for k = 0 to messages - 1 do
+        let sink = Bytes.create (size k) in
+        let ic = Vc.begin_unpacking_from vc ~me:dst ~remote:0 in
+        Vc.unpack ic sink;
+        Vc.end_unpacking ic;
+        if Bytes.equal sink (data k) then incr intact
+      done);
+  Engine.run engine;
+  Alcotest.(check int)
+    (Printf.sprintf "%s: every message bit-identical"
+       (if gateway then "through a gateway" else "direct"))
+    messages !intact
+
+let test_staging_reuse kind () =
+  open_loop_intact kind ~gateway:false;
+  open_loop_intact kind ~gateway:true
+
 let () =
   Alcotest.run "vchannel"
     [
@@ -520,4 +622,16 @@ let () =
           Alcotest.test_case "bidirectional forwarding" `Quick
             test_bidirectional_forwarding;
         ] );
+      ( "staging reuse",
+        List.map
+          (fun (name, kind) ->
+            Alcotest.test_case (name ^ " open loop") `Quick
+              (test_staging_reuse kind))
+          [
+            ("tcp", Tcp);
+            ("bip", Bip);
+            ("sisci", Sisci);
+            ("via", Via);
+            ("sbp", Sbp);
+          ] );
     ]
