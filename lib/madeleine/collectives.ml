@@ -315,16 +315,9 @@ let bump t =
    the deadline passes — whichever comes first. *)
 let wait_change t inst ~deadline =
   Engine.suspend ~name:"collectives.wait" (fun wake ->
-      let woken = ref false in
-      let once () =
-        if not !woken then begin
-          woken := true;
-          wake ()
-        end
-      in
-      inst.i_waiters <- once :: inst.i_waiters;
-      t.gen_waiters <- once :: t.gen_waiters;
-      Engine.at t.engine deadline once)
+      inst.i_waiters <- wake :: inst.i_waiters;
+      t.gen_waiters <- wake :: t.gen_waiters;
+      Engine.at t.engine deadline wake)
 
 (* Park until [progressed ()], a generation change, or the deadline —
    and only report a timeout when the deadline genuinely passed. The
@@ -425,7 +418,7 @@ and merge_contrib t inst ~node ~gen ~from ~count value =
     end
   end
 
-(* The vchannel dispatcher hands every [col] payload that reaches a
+(* The vchannel dispatcher hands every [Collective] payload that reaches a
    live rank to this handler. *)
 let on_col t ~me ~origin payload =
   if Bytes.length payload >= col_hdr then begin

@@ -54,7 +54,7 @@ val create :
     of live ranks below which a collective fails typed (default 1);
     [patience] bounds how long a participant parks before forcing a
     repair generation (default {!Config.default_route_patience}).
-    Installs the vchannel's [col] handler and health-change hook; one
+    Installs the vchannel's [Collective] handler and health-change hook; one
     layer per vchannel. Creation is passive — no thread runs and no
     packet moves until a collective is called, so a vchannel without a
     layer (clusterfile [coll=] unset) behaves byte-identically to one

@@ -134,7 +134,7 @@ val default_route_patience : Marcel.Time.span
 
 val packet_header_size : int
 (** Generic TM per-packet self-description: final destination, origin,
-    payload length, first/last flags. *)
+    payload length, packet kind, sequence number. *)
 
 val buffer_header_size : int
 (** Generic TM per-buffer self-description: length and the emission /

@@ -1,37 +1,58 @@
+type kind =
+  | Data of { first : bool; last : bool }
+  | Aggregate
+  | Ack
+  | Handshake
+  | Credit of { ack : bool }
+  | Topology
+  | Collective
+
 type packet_header = {
   final_dst : int;
   origin : int;
   payload_len : int;
-  first : bool;
-  last : bool;
   seq : int;  (* 16-bit end-to-end sequence number, 0 when unreliable *)
-  ack : bool;  (* cumulative acknowledgment packet (reliable vchannels) *)
-  hs : bool;  (* session handshake after a crash epoch (reliable vchannels) *)
-  crd : bool;  (* credit-plane packet: grant (4-byte payload) or probe (empty) *)
-  agg : bool;  (* aggregate: payload is a train of flow-framed sub-packets *)
-  top : bool;  (* topology-control packet: join/drain/epoch announcements *)
-  col : bool;  (* collective-control packet: contribution / decision frames *)
+  kind : kind;
 }
+
+let make_header ?(seq = 0) ~src ~dst ~len kind =
+  { final_dst = dst; origin = src; payload_len = len; seq; kind }
 
 let header_size = Config.packet_header_size
 let magic = '\xAD'
+
+(* The flag byte values are part of the wire format: bits 0-1 are the
+   data delimiters, each other kind owns one bit, and a credit grant
+   that piggybacks an ack sets both of their bits. Every other byte
+   names no kind. *)
+let flags_of_kind = function
+  | Data { first; last } -> (if first then 1 else 0) lor if last then 2 else 0
+  | Ack -> 4
+  | Handshake -> 8
+  | Credit { ack } -> if ack then 20 else 16
+  | Aggregate -> 32
+  | Topology -> 64
+  | Collective -> 128
+
+let kind_of_flags = function
+  | (0 | 1 | 2 | 3) as f -> Data { first = f land 1 <> 0; last = f land 2 <> 0 }
+  | 4 -> Ack
+  | 8 -> Handshake
+  | 16 -> Credit { ack = false }
+  | 20 -> Credit { ack = true }
+  | 32 -> Aggregate
+  | 64 -> Topology
+  | 128 -> Collective
+  | f ->
+      invalid_arg
+        (Printf.sprintf "Generic_tm.decode_header: illegal flag byte 0x%02x" f)
 
 let encode_header h =
   let b = Bytes.make header_size '\000' in
   Bytes.set_int32_le b 0 (Int32.of_int h.final_dst);
   Bytes.set_int32_le b 4 (Int32.of_int h.origin);
   Bytes.set_int32_le b 8 (Int32.of_int h.payload_len);
-  let flags =
-    (if h.first then 1 else 0)
-    lor (if h.last then 2 else 0)
-    lor (if h.ack then 4 else 0)
-    lor (if h.hs then 8 else 0)
-    lor (if h.crd then 16 else 0)
-    lor (if h.agg then 32 else 0)
-    lor (if h.top then 64 else 0)
-    lor if h.col then 128 else 0
-  in
-  Bytes.set b 12 (Char.chr flags);
+  Bytes.set b 12 (Char.chr (flags_of_kind h.kind));
   Bytes.set b 13 magic;
   (* Bytes 14-15 were reserved; seq = 0 keeps the unreliable encoding
      byte-identical to the pre-reliability wire format. *)
@@ -43,22 +64,13 @@ let decode_header b =
     invalid_arg "Generic_tm.decode_header: short header";
   if Bytes.get b 13 <> magic then
     invalid_arg "Generic_tm.decode_header: bad magic";
-  let flags = Char.code (Bytes.get b 12) in
   {
     final_dst = Int32.to_int (Bytes.get_int32_le b 0);
     origin = Int32.to_int (Bytes.get_int32_le b 4);
     payload_len = Int32.to_int (Bytes.get_int32_le b 8);
-    first = flags land 1 <> 0;
-    last = flags land 2 <> 0;
     seq = Bytes.get_uint16_le b 14;
-    ack = flags land 4 <> 0;
-    hs = flags land 8 <> 0;
-    crd = flags land 16 <> 0;
-    agg = flags land 32 <> 0;
-    top = flags land 64 <> 0;
-    col = flags land 128 <> 0;
+    kind = kind_of_flags (Char.code (Bytes.get b 12));
   }
-
 let sub_header_size = Config.buffer_header_size
 
 let encode_sub_header ~len s r =
@@ -98,7 +110,7 @@ let encode_flow_frame_header ~flow ~first ~last ~len =
   b
 
 let decode_flow_frame_header b off =
-  if Bytes.length b < off + flow_frame_header_size then
+  if off < 0 || off > Bytes.length b - flow_frame_header_size then
     invalid_arg "Generic_tm.decode_flow_frame_header: short header";
   if Bytes.get b (off + 7) <> magic then
     invalid_arg "Generic_tm.decode_flow_frame_header: bad magic";

@@ -31,7 +31,7 @@ module Assembler = struct
 
   let wait t =
     Engine.suspend ~name:"vchannel.assembler" (fun wake ->
-        t.waiters <- (fun () -> wake ()) :: t.waiters)
+        t.waiters <- wake :: t.waiters)
 
   (* Reads exactly [len] bytes into [dst] at [off]; an End_of_message
      marker inside the span is an asymmetry. *)
@@ -102,7 +102,7 @@ exception No_quorum of string
    session layer keeps on stable storage, which is what makes
    exactly-once possible at all. When the node comes back, every live
    peer that has delivered data from it sends a session-handshake packet
-   ([hs] flag) carrying its expected sequence number, so the restarted
+   ([Handshake] packet) carrying its expected sequence number, so the restarted
    origin resumes numbering where the receiver left off instead of
    colliding with its own pre-crash packets. *)
 type rel = {
@@ -198,7 +198,7 @@ type pump = {
    [?topology] (clusterfile [version=]). The snapshot is the current
    epoch's membership; every simulated rank reads the same snapshot, so
    an epoch swap is one pointer assignment at the coordinator followed
-   by a route recomputation. Joins and drains travel as [top] control
+   by a route recomputation. Joins and drains travel as [Topology] control
    packets over the data path, so they cross gateways, cost network
    time, and interleave with live traffic like any other packet. *)
 type live = {
@@ -452,25 +452,42 @@ let wait_route t r ~at ~dst =
     && Time.( < ) (Engine.now t.engine) deadline
   do
     Engine.suspend ~name:"vchannel.route" (fun wake ->
-        let woken = ref false in
-        let wake_once () =
-          if not !woken then begin
-            woken := true;
-            wake ()
-          end
-        in
-        r.route_waiters <- wake_once :: r.route_waiters;
-        Engine.at t.engine deadline wake_once)
+        r.route_waiters <- wake :: r.route_waiters;
+        Engine.at t.engine deadline wake)
   done;
   if not (Hashtbl.mem t.routes (at, dst)) then
     raise (Partitioned (Printf.sprintf "Vchannel: no route from %d to %d" at dst))
 
-(* Ship one self-described packet as a regular Madeleine message on the
-   next real channel: EXPRESS header, CHEAPER payload. On a reliable
-   vchannel a dead next hop aborts the message on the real channel and
-   retries over the (by then recomputed) routes; a missing route is
-   waited out with [wait_route]; when no route survives the flow is
-   partitioned. *)
+(* Ship one self-described packet over one hop as a regular Madeleine
+   message on the hop's real channel: EXPRESS header, CHEAPER payload. A
+   dead next hop aborts the message on the real channel and re-raises
+   [Config.Peer_unreachable]. *)
+let pack_hop ~at hop ~header ~payload ~payload_len =
+  (* Endpoint-to-endpoint iff this hop starts at the packet's origin and
+     lands on its final destination; anything else is a gateway transit
+     hop, whose payload lives in protocol staging buffers — the Switch
+     must not hand it to the zero-copy rendezvous. The receiver computes
+     the same predicate from the header it just unpacked, so selection
+     mirrors. *)
+  let transit =
+    at <> header.Generic_tm.origin || hop.hop_to <> header.Generic_tm.final_dst
+  in
+  let ep = Channel.endpoint hop.hop_channel ~rank:at in
+  let oc = Api.begin_packing ep ~remote:hop.hop_to in
+  try
+    Api.pack oc ~r_mode:Iface.Receive_express (Generic_tm.encode_header header);
+    if payload_len > 0 then
+      Api.pack oc ~r_mode:Iface.Receive_cheaper ~transit ~len:payload_len
+        payload;
+    Api.end_packing oc
+  with Config.Peer_unreachable _ as e ->
+    Api.abort_packing oc;
+    raise e
+
+(* Ship one packet on the next hop toward its final destination. On a
+   reliable vchannel a dead next hop is retried over the (by then
+   recomputed) routes; a missing route is waited out with [wait_route];
+   when no route survives the flow is partitioned. *)
 let ship_packet t ~at ~header ~payload ~payload_len =
   let dst = header.Generic_tm.final_dst in
   touch_sentinel t ~rank:at;
@@ -482,33 +499,26 @@ let ship_packet t ~at ~header ~payload ~payload_len =
         | Some r -> wait_route t r ~at ~dst);
         go attempts
     | hop -> (
-        let ep = Channel.endpoint hop.hop_channel ~rank:at in
-        (* Endpoint-to-endpoint iff this hop starts at the packet's
-           origin and lands on its final destination; anything else is a
-           gateway transit hop, whose payload lives in protocol staging
-           buffers — the Switch must not hand it to the zero-copy
-           rendezvous. The receiver computes the same predicate from the
-           header it just unpacked, so selection mirrors. *)
-        let transit =
-          at <> header.Generic_tm.origin || hop.hop_to <> dst
-        in
-        let oc = Api.begin_packing ep ~remote:hop.hop_to in
-        match
-          Api.pack oc ~r_mode:Iface.Receive_express
-            (Generic_tm.encode_header header);
-          if payload_len > 0 then
-            Api.pack oc ~r_mode:Iface.Receive_cheaper ~transit ~len:payload_len
-              payload;
-          Api.end_packing oc
-        with
+        match pack_hop ~at hop ~header ~payload ~payload_len with
         | () -> ()
-        | exception Config.Peer_unreachable msg ->
-            Api.abort_packing oc;
-            if t.rel = None then raise (Config.Peer_unreachable msg)
+        | exception (Config.Peer_unreachable msg as e) ->
+            if t.rel = None then raise e
             else if attempts >= 3 then raise (Partitioned msg)
             else go (attempts + 1))
   in
   go 0
+
+(* Fire-and-forget control packet from [src]: a daemon ships it, and a
+   lost or unroutable one is dropped — every control plane recovers
+   from loss on its own (probes, re-sent acks, patience timeouts). *)
+let send_control t ~name ?seq ~src ~dst kind payload =
+  let len = Bytes.length payload in
+  let header = Generic_tm.make_header ?seq ~src ~dst ~len kind in
+  Engine.spawn t.engine ~daemon:true
+    ~name:(Printf.sprintf "vchannel.%s.%d->%d" name src dst)
+    (fun () ->
+      try ship_packet t ~at:src ~header ~payload ~payload_len:len
+      with Partitioned _ | Config.Peer_unreachable _ -> ())
 
 let flow_ref table key = memo table key (fun () -> ref 0)
 let unacked_q r key = memo r.unacked key (fun () -> Queue.create ())
@@ -554,9 +564,9 @@ let credit_rx_state c key =
   memo c.cr_rx key (fun () -> { crx_consumed = 0; crx_last_grant = 0 })
 
 (* Cumulative grant from the consumer [me] back to the flow's origin: a
-   [crd] packet whose 4-byte payload is the number of data packets
+   [Credit] packet whose 4-byte payload is the number of data packets
    consumed so far. On reliable vchannels it piggybacks the flow's
-   cumulative ack ([ack] flag + [seq]), so a grant also trims the
+   cumulative ack ([Credit {ack = true}] + [seq]), so a grant also trims the
    origin's re-emission log. Rides the normal routed path — gateways
    forward it like data. Best-effort: a lost grant is recovered by the
    sender's zero-window probe. *)
@@ -564,7 +574,6 @@ let send_grant t c ~me ~origin =
   let crx = credit_rx_state c (me, origin) in
   crx.crx_last_grant <- crx.crx_consumed;
   c.cr_grants <- c.cr_grants + 1;
-  let consumed = crx.crx_consumed in
   let ack, seq =
     match t.rel with
     | Some r ->
@@ -572,57 +581,17 @@ let send_grant t c ~me ~origin =
         if expected > 0 then (true, (expected - 1) land 0xffff) else (false, 0)
     | None -> (false, 0)
   in
-  let header =
-    {
-      Generic_tm.final_dst = origin;
-      origin = me;
-      payload_len = 4;
-      first = false;
-      last = false;
-      seq;
-      ack;
-      hs = false;
-      crd = true;
-      agg = false;
-      top = false;
-      col = false;
-    }
-  in
-  Engine.spawn t.engine ~daemon:true
-    ~name:(Printf.sprintf "vchannel.grant.%d->%d" me origin)
-    (fun () ->
-      let payload = Bytes.create 4 in
-      Bytes.set_int32_le payload 0 (Int32.of_int consumed);
-      try ship_packet t ~at:me ~header ~payload ~payload_len:4
-      with Partitioned _ | Config.Peer_unreachable _ -> ())
+  let payload = Bytes.create 4 in
+  Bytes.set_int32_le payload 0 (Int32.of_int crx.crx_consumed);
+  send_control t ~name:"grant" ~seq ~src:me ~dst:origin (Credit { ack }) payload
 
-(* Zero-window probe from a credit-blocked sender: an empty [crd] packet
+(* Zero-window probe from a credit-blocked sender: an empty [Credit] packet
    the receiver answers with a fresh grant. Covers grants lost to crash
    paths, so a blocked flow can always make progress once the receiver
    consumes. *)
 let send_probe t c ~src ~dst =
   c.cr_probes <- c.cr_probes + 1;
-  let header =
-    {
-      Generic_tm.final_dst = dst;
-      origin = src;
-      payload_len = 0;
-      first = false;
-      last = false;
-      seq = 0;
-      ack = false;
-      hs = false;
-      crd = true;
-      agg = false;
-      top = false;
-      col = false;
-    }
-  in
-  Engine.spawn t.engine ~daemon:true
-    ~name:(Printf.sprintf "vchannel.probe.%d->%d" src dst)
-    (fun () ->
-      try ship_packet t ~at:src ~header ~payload:Bytes.empty ~payload_len:0
-      with Partitioned _ | Config.Peer_unreachable _ -> ())
+  send_control t ~name:"probe" ~src ~dst (Credit { ack = false }) Bytes.empty
 
 (* One user unpack drained a whole packet payload at [me]: account the
    buffered bytes away and replenish the origin's credits once a grant
@@ -652,9 +621,9 @@ let asm_pp t ~me ~origin = memo t.asm_depth (me, origin) pp_make
 
 (* A grant (or probe answer) reached the flow's origin [me]. Grants are
    cumulative, so reordered or duplicated ones apply monotonically. *)
-let handle_crd t ~me header payload =
-  (match (t.rel, header.Generic_tm.ack) with
-  | Some r, true -> handle_ack r header
+let handle_crd t ~me ~ack header payload =
+  (match t.rel with
+  | Some r when ack -> handle_ack r header
   | _ -> ());
   match t.credits with
   | None -> () (* stray credit packet on a credit-less vchannel *)
@@ -680,29 +649,9 @@ let handle_crd t ~me header payload =
    unroutable ack only delays trimming of the origin's log. *)
 let send_ack t r ~me ~origin =
   let expected = !(flow_ref r.rx_next (me, origin)) in
-  if expected > 0 then begin
-    let header =
-      {
-        Generic_tm.final_dst = origin;
-        origin = me;
-        payload_len = 0;
-        first = false;
-        last = false;
-        seq = (expected - 1) land 0xffff;
-        ack = true;
-        hs = false;
-        crd = false;
-        agg = false;
-        top = false;
-        col = false;
-      }
-    in
-    Engine.spawn t.engine ~daemon:true
-      ~name:(Printf.sprintf "vchannel.ack.%d->%d" me origin)
-      (fun () ->
-        try ship_packet t ~at:me ~header ~payload:Bytes.empty ~payload_len:0
-        with Partitioned _ | Config.Peer_unreachable _ -> ())
-  end
+  if expected > 0 then
+    send_control t ~name:"ack" ~seq:((expected - 1) land 0xffff) ~src:me
+      ~dst:origin Ack Bytes.empty
 
 (* Session handshake, received by a freshly restarted node: the peer
    tells us where its delivery journal stands ([seq] = next sequence it
@@ -739,15 +688,8 @@ let wait_handshake t r ~src ~dst =
       && Time.( < ) (Engine.now t.engine) deadline
     do
       Engine.suspend ~name:"vchannel.handshake" (fun wake ->
-          let woken = ref false in
-          let wake_once () =
-            if not !woken then begin
-              woken := true;
-              wake ()
-            end
-          in
-          r.hs_waiters <- wake_once :: r.hs_waiters;
-          Engine.at t.engine deadline wake_once)
+          r.hs_waiters <- wake :: r.hs_waiters;
+          Engine.at t.engine deadline wake)
     done;
     if Hashtbl.mem r.tx_lost (src, dst) then
       raise
@@ -761,20 +703,22 @@ let wait_handshake t r ~src ~dst =
 (* ------------------------------------------------------------------ *)
 (* Live topology: the join/drain control plane. Membership changes are
    arbitrated by the coordinator; requests and acknowledgments travel
-   as [top] packets on the data path (gateways forward them like data),
-   and the epoch swap itself is [apply_swap]: publish the new snapshot,
-   recompute routes, re-emit only the flows whose routes changed. *)
+   as [Topology] packets on the data path (gateways forward them like
+   data), and the epoch swap itself is [apply_swap]: publish the new
+   snapshot, recompute routes, re-emit only the flows whose routes
+   changed. *)
 
 let top_join_req = 1
 let top_join_ack = 2
 let top_drain_req = 3
 
-(* Election ops ride the same [top] control plane. Their payload is the
-   9-byte membership layout extended by two fields: the sender's highest
-   committed epoch and a watermark — the candidate's delivery-journal
-   depth on a vote request (the audit surface for highest-committed-wins
-   reconciliation), the voter's crash epoch on a vote ack (what lets the
-   candidate discard ballots from voters that have since restarted). *)
+(* Election ops ride the same [Topology] control plane. Their payload is
+   the 9-byte membership layout extended by two fields: the sender's
+   highest committed epoch and a watermark — the candidate's
+   delivery-journal depth on a vote request (the audit surface for
+   highest-committed-wins reconciliation), the voter's crash epoch on a
+   vote ack (what lets the candidate discard ballots from voters that
+   have since restarted). *)
 let top_vote_req = 4
 let top_vote_ack = 5
 let top_coord = 6
@@ -797,22 +741,6 @@ let top_ext_payload ~op ~rank ~term ~committed ~watermark =
   Bytes.set_int32_le b 13 (Int32.of_int watermark);
   b
 
-let top_header ~src ~dst ~len =
-  {
-    Generic_tm.final_dst = dst;
-    origin = src;
-    payload_len = len;
-    first = false;
-    last = false;
-    seq = 0;
-    ack = false;
-    hs = false;
-    crd = false;
-    agg = false;
-    top = true;
-    col = false;
-  }
-
 let topo_wake lv =
   let waiters = lv.lv_waiters in
   lv.lv_waiters <- [];
@@ -824,15 +752,8 @@ let topo_wait t lv ~until =
   let deadline = Time.add (Engine.now t.engine) t.patience in
   while (not (until ())) && Time.( < ) (Engine.now t.engine) deadline do
     Engine.suspend ~name:"vchannel.topology" (fun wake ->
-        let woken = ref false in
-        let wake_once () =
-          if not !woken then begin
-            woken := true;
-            wake ()
-          end
-        in
-        lv.lv_waiters <- wake_once :: lv.lv_waiters;
-        Engine.at t.engine deadline wake_once)
+        lv.lv_waiters <- wake :: lv.lv_waiters;
+        Engine.at t.engine deadline wake)
   done;
   until ()
 
@@ -892,25 +813,11 @@ let apply_swap t lv snap =
   topo_wake lv
 
 let send_top t ~src ~dst ~op ~rank ~epoch =
-  let payload = top_payload ~op ~rank ~epoch in
-  let header = top_header ~src ~dst ~len:top_payload_size in
-  Engine.spawn t.engine ~daemon:true
-    ~name:(Printf.sprintf "vchannel.top.%d->%d" src dst)
-    (fun () ->
-      try
-        ship_packet t ~at:src ~header ~payload ~payload_len:top_payload_size
-      with Partitioned _ | Config.Peer_unreachable _ -> ())
+  send_control t ~name:"top" ~src ~dst Topology (top_payload ~op ~rank ~epoch)
 
 let send_top_ext t ~src ~dst ~op ~rank ~term ~committed ~watermark =
-  let payload = top_ext_payload ~op ~rank ~term ~committed ~watermark in
-  let header = top_header ~src ~dst ~len:top_ext_payload_size in
-  Engine.spawn t.engine ~daemon:true
-    ~name:(Printf.sprintf "vchannel.top.%d->%d" src dst)
-    (fun () ->
-      try
-        ship_packet t ~at:src ~header ~payload
-          ~payload_len:top_ext_payload_size
-      with Partitioned _ | Config.Peer_unreachable _ -> ())
+  send_control t ~name:"top" ~src ~dst Topology
+    (top_ext_payload ~op ~rank ~term ~committed ~watermark)
 
 (* The members of [viewer]'s side of the world: reachable over hops
    whose sender trusts the receiver (the routes are computed with the
@@ -1056,37 +963,16 @@ let handle_top t ~me header payload =
 
 (* ------------------------------------------------------------------ *)
 (* Collective control plane. The Collectives layer (see collectives.ml)
-   rides [col] packets over the ordinary forwarding path: contributions
-   travel up a spanning tree, decisions travel down it, and gateways
-   forward them like data. The vchannel stays policy-free here — it
-   only delivers [col] payloads to whatever handler the layer installed
-   and ships the ones the layer emits, exactly like the [top] plane. *)
-
-let col_header ~src ~dst ~len =
-  {
-    Generic_tm.final_dst = dst;
-    origin = src;
-    payload_len = len;
-    first = false;
-    last = false;
-    seq = 0;
-    ack = false;
-    hs = false;
-    crd = false;
-    agg = false;
-    top = false;
-    col = true;
-  }
+   rides [Collective] packets over the ordinary forwarding path:
+   contributions travel up a spanning tree, decisions travel down it,
+   and gateways forward them like data. The vchannel stays policy-free
+   here — it only delivers [Collective] payloads to whatever handler the
+   layer installed and ships the ones the layer emits, exactly like the
+   [Topology] plane. *)
 
 let send_col t ~src ~dst payload =
   check_ranks t "send_col" src dst;
-  let len = Bytes.length payload in
-  let header = col_header ~src ~dst ~len in
-  Engine.spawn t.engine ~daemon:true
-    ~name:(Printf.sprintf "vchannel.col.%d->%d" src dst)
-    (fun () ->
-      try ship_packet t ~at:src ~header ~payload ~payload_len:len
-      with Partitioned _ | Config.Peer_unreachable _ -> ())
+  send_control t ~name:"col" ~src ~dst Collective payload
 
 let set_on_col t f = t.on_col <- f
 let set_on_health_change t f = t.on_health_change <- f
@@ -1124,36 +1010,43 @@ let neighbours t rank =
    its join request takes one membership-blind physical hop toward the
    coordinator; from that member node on, the packet rides the normal
    routed path like any transit packet. *)
-let ship_top_physical t ~at ~dst ~payload =
+let ship_join_req t lv ~rank =
+  let dst = lv.lv_coordinator in
   let down _viewer n =
     match t.rel with
     | Some r -> not (Simnet.Faults.node_up r.faults n)
     | None -> false
   in
   let phys = compute_routes ~down t.channels t.all_ranks in
-  match Hashtbl.find_opt phys (at, dst) with
-  | Some (hop :: _) ->
-      let header = top_header ~src:at ~dst ~len:(Bytes.length payload) in
-      (* Mirror of the dispatcher's transit predicate: this hop is
-         endpoint-to-endpoint iff it lands on the final destination. *)
-      let transit = hop.hop_to <> dst in
-      let ep = Channel.endpoint hop.hop_channel ~rank:at in
-      let oc = Api.begin_packing ep ~remote:hop.hop_to in
-      (try
-         Api.pack oc ~r_mode:Iface.Receive_express
-           (Generic_tm.encode_header header);
-         Api.pack oc ~r_mode:Iface.Receive_cheaper ~transit
-           ~len:(Bytes.length payload) payload;
-         Api.end_packing oc
-       with Config.Peer_unreachable msg ->
-         Api.abort_packing oc;
-         raise (Partitioned msg))
+  match Hashtbl.find_opt phys (rank, dst) with
+  | Some (hop :: _) -> (
+      let payload =
+        top_payload ~op:top_join_req ~rank
+          ~epoch:(Topology.epoch lv.lv_snapshot)
+      in
+      let header =
+        Generic_tm.make_header ~src:rank ~dst ~len:top_payload_size Topology
+      in
+      try pack_hop ~at:rank hop ~header ~payload ~payload_len:top_payload_size
+      with Config.Peer_unreachable msg -> raise (Partitioned msg))
   | Some [] | None ->
       raise
         (Partitioned
            (Printf.sprintf
-              "Vchannel.join: no physical path from %d to coordinator %d" at
+              "Vchannel.join: no physical path from %d to coordinator %d" rank
               dst))
+
+(* A draining rank's notice to the coordinator, shipped inline so the
+   caller sees a failed send. *)
+let ship_drain_req t lv ~rank =
+  let payload =
+    top_payload ~op:top_drain_req ~rank ~epoch:(Topology.epoch lv.lv_snapshot)
+  in
+  let header =
+    Generic_tm.make_header ~src:rank ~dst:lv.lv_coordinator
+      ~len:top_payload_size Topology
+  in
+  ship_packet t ~at:rank ~header ~payload ~payload_len:top_payload_size
 
 (* ------------------------------------------------------------------ *)
 (* Quorum elections. A candidacy is one epoch-numbered round: term =
@@ -1243,12 +1136,7 @@ let replay_pending t lv el =
       | P_join rank ->
           if not (Topology.mem lv.lv_snapshot rank) then begin
             let attempt () =
-              let payload =
-                top_payload ~op:top_join_req ~rank
-                  ~epoch:(Topology.epoch lv.lv_snapshot)
-              in
-              (try
-                 ship_top_physical t ~at:rank ~dst:lv.lv_coordinator ~payload
+              (try ship_join_req t lv ~rank
                with Partitioned _ | Config.Peer_unreachable _ -> ());
               topo_wait t lv ~until:(fun () ->
                   Topology.mem lv.lv_snapshot rank)
@@ -1269,17 +1157,7 @@ let replay_pending t lv el =
               (topo_wait t lv ~until:(fun () ->
                    Hashtbl.mem t.routes (rank, lv.lv_coordinator)));
             let attempt () =
-              let payload =
-                top_payload ~op:top_drain_req ~rank
-                  ~epoch:(Topology.epoch lv.lv_snapshot)
-              in
-              let header =
-                top_header ~src:rank ~dst:lv.lv_coordinator
-                  ~len:top_payload_size
-              in
-              (try
-                 ship_packet t ~at:rank ~header ~payload
-                   ~payload_len:top_payload_size
+              (try ship_drain_req t lv ~rank
                with Partitioned _ | Config.Peer_unreachable _ -> ());
               topo_wait t lv ~until:(fun () ->
                   not (Topology.mem lv.lv_snapshot rank))
@@ -1289,55 +1167,45 @@ let replay_pending t lv el =
           end)
     pend
 
-(* Deliver a packet that reached its final node. Reliable vchannels
+(* Hand one message fragment of [origin]'s [flow] to its assembler. *)
+let accept_frame t ~me ~origin ~flow ~first ~last chunk =
+  let asmb = assembler t ~me ~origin ~flow in
+  if first then begin
+    Mailbox.put (starts t ~me ~origin ~flow) ();
+    Mailbox.put (incoming t ~me) (origin, flow)
+  end;
+  if Bytes.length chunk > 0 then begin
+    pp_add (asm_pp t ~me ~origin) (Bytes.length chunk);
+    Assembler.push asmb (Assembler.Data chunk)
+  end;
+  if last then Assembler.push asmb Assembler.End_of_message
+
+(* Split an aggregate's train back into per-flow frames. Each frame is
+   one Data chunk in its flow's assembler, so the consumption hook fires
+   once per constituent frame — matching the one credit the origin
+   charged for it. *)
+let accept_aggregate t ~me ~origin payload =
+  let off = ref 0 in
+  while !off < Bytes.length payload do
+    let flow, first, last, len =
+      Generic_tm.decode_flow_frame_header payload !off
+    in
+    off := !off + Generic_tm.flow_frame_header_size;
+    accept_frame t ~me ~origin ~flow ~first ~last (Bytes.sub payload !off len);
+    off := !off + len
+  done
+
+(* Deliver a sequenced packet (Data or Aggregate) that reached its final
+   node: [accept] hands it to the assemblers. Reliable vchannels drop it
+   when the host is down (the origin's log re-emits once it comes back),
    accept only the expected sequence number (re-emitted duplicates and
    overtaking packets are dropped) and acknowledge cumulatively. *)
-let deliver_local t ~me header payload =
-  touch_sentinel t ~rank:me;
-  let accept () =
-    let origin = header.Generic_tm.origin in
-    if header.Generic_tm.agg then begin
-      (* Aggregate: split the train back into per-flow frames. Each
-         frame is one Data chunk in its flow's assembler, so the
-         consumption hook fires once per constituent frame — matching
-         the one credit the origin charged for it. *)
-      let total = Bytes.length payload in
-      let off = ref 0 in
-      while !off < total do
-        let flow, first, last, len =
-          Generic_tm.decode_flow_frame_header payload !off
-        in
-        off := !off + Generic_tm.flow_frame_header_size;
-        let asmb = assembler t ~me ~origin ~flow in
-        if first then begin
-          Mailbox.put (starts t ~me ~origin ~flow) ();
-          Mailbox.put (incoming t ~me) (origin, flow)
-        end;
-        if len > 0 then begin
-          let chunk = Bytes.sub payload !off len in
-          off := !off + len;
-          pp_add (asm_pp t ~me ~origin) len;
-          Assembler.push asmb (Assembler.Data chunk)
-        end;
-        if last then Assembler.push asmb Assembler.End_of_message
-      done
-    end
-    else begin
-      let asmb = assembler t ~me ~origin ~flow:0 in
-      if header.Generic_tm.first then begin
-        Mailbox.put (starts t ~me ~origin ~flow:0) ();
-        Mailbox.put (incoming t ~me) (origin, 0)
-      end;
-      if Bytes.length payload > 0 then begin
-        pp_add (asm_pp t ~me ~origin) (Bytes.length payload);
-        Assembler.push asmb (Assembler.Data payload)
-      end;
-      if header.Generic_tm.last then Assembler.push asmb Assembler.End_of_message
-    end
-  in
+let deliver_local t ~me header accept =
   match t.rel with
   | None -> accept ()
+  | Some r when not (Simnet.Faults.node_up r.faults me) -> ()
   | Some r ->
+      touch_sentinel t ~rank:me;
       let expected = flow_ref r.rx_next (me, header.Generic_tm.origin) in
       if header.Generic_tm.seq = !expected then begin
         expected := (!expected + 1) land 0xffff;
@@ -1559,17 +1427,22 @@ let spawn_dispatcher t ~node channel =
           if header.Generic_tm.payload_len > 0 then
             Api.unpack ic ~r_mode:Iface.Receive_cheaper ~transit payload;
           Api.end_unpacking ic;
-          match t.rel with
-          | _ when header.Generic_tm.col -> handle_col t ~me:node header payload
-          | _ when header.Generic_tm.top -> handle_top t ~me:node header payload
-          | Some r when header.Generic_tm.hs -> handle_hs r ~me:node header payload
-          | _ when header.Generic_tm.crd -> handle_crd t ~me:node header payload
-          | Some r when header.Generic_tm.ack -> handle_ack r header
-          | Some r when not (Simnet.Faults.node_up r.faults node) ->
-              (* The destination host is down: the data dies with it;
-                 the origin's log re-emits once it comes back. *)
-              ()
-          | _ -> deliver_local t ~me:node header payload
+          let origin = header.Generic_tm.origin in
+          (* Ack and Handshake exist only on reliable vchannels, and one
+             [t] serves every node, so without [rel] they cannot occur. *)
+          match header.Generic_tm.kind with
+          | Data { first; last } ->
+              deliver_local t ~me:node header (fun () ->
+                  accept_frame t ~me:node ~origin ~flow:0 ~first ~last payload)
+          | Aggregate ->
+              deliver_local t ~me:node header (fun () ->
+                  accept_aggregate t ~me:node ~origin payload)
+          | Ack -> Option.iter (fun r -> handle_ack r header) t.rel
+          | Handshake ->
+              Option.iter (fun r -> handle_hs r ~me:node header payload) t.rel
+          | Credit { ack } -> handle_crd t ~me:node ~ack header payload
+          | Topology -> handle_top t ~me:node header payload
+          | Collective -> handle_col t ~me:node header payload
         end
         else
           match next_hop t ~at:node ~dst:header.Generic_tm.final_dst with
@@ -1669,15 +1542,8 @@ let wait_unacked t r ~src ~dst q =
     if Queue.length q >= t.unacked_cap then begin
       let deadline = Time.add (Engine.now t.engine) t.patience in
       Engine.suspend ~name:"vchannel.unacked" (fun wake ->
-          let woken = ref false in
-          let wake_once () =
-            if not !woken then begin
-              woken := true;
-              wake ()
-            end
-          in
-          r.ack_waiters <- wake_once :: r.ack_waiters;
-          Engine.at t.engine deadline wake_once);
+          r.ack_waiters <- wake :: r.ack_waiters;
+          Engine.at t.engine deadline wake);
       if
         Queue.length q >= t.unacked_cap
         && not (Simnet.Faults.node_up r.faults dst)
@@ -1690,6 +1556,33 @@ let wait_unacked t r ~src ~dst q =
                 src dst))
     end
   done
+
+(* Emit one sequenced packet (Data or Aggregate) from [src] to [dst], with
+   the pair's emission lock held and its credits already charged. On a
+   reliable vchannel the packet waits out a crash-lost cursor, takes the
+   flow's next sequence number, and is logged before it ships: anything
+   unacknowledged can be re-emitted after a gateway crash. The log is
+   bounded — a full one waits for acks to trim it rather than growing
+   with the flow. *)
+let emit_sequenced t ~src ~dst kind ~payload ~payload_len =
+  match t.rel with
+  | None ->
+      let header = Generic_tm.make_header ~src ~dst ~len:payload_len kind in
+      ship_packet t ~at:src ~header ~payload ~payload_len
+  | Some r ->
+      wait_handshake t r ~src ~dst;
+      let sq = flow_ref r.tx_seq (src, dst) in
+      let seq = !sq in
+      sq := (seq + 1) land 0xffff;
+      let header =
+        Generic_tm.make_header ~seq ~src ~dst ~len:payload_len kind
+      in
+      let q = unacked_q r (src, dst) in
+      wait_unacked t r ~src ~dst q;
+      Queue.push (seq, header, Bytes.sub payload 0 payload_len) q;
+      let peak = memo t.unacked_peak (src, dst) (fun () -> ref 0) in
+      if Queue.length q > !peak then peak := Queue.length q;
+      ship_packet t ~at:src ~header ~payload ~payload_len
 
 (* Emit one aggregate: the scheduler's [emit] callback, running with the
    pair's emission lock held. The composition rules with the PR 4/5
@@ -1707,16 +1600,6 @@ let emit_one_aggregate t ~src ~dst frames =
           if Bytes.length fr.Sched.fr_data > 0 then wait_credit t c ~src ~dst)
         frames
   | None -> ());
-  let seq =
-    match t.rel with
-    | None -> 0
-    | Some r ->
-        wait_handshake t r ~src ~dst;
-        let sq = flow_ref r.tx_seq (src, dst) in
-        let s = !sq in
-        sq := (s + 1) land 0xffff;
-        s
-  in
   let payload_len =
     List.fold_left
       (fun acc fr ->
@@ -1738,31 +1621,7 @@ let emit_one_aggregate t ~src ~dst frames =
         off + data_len)
       0 frames
   in
-  let header =
-    {
-      Generic_tm.final_dst = dst;
-      origin = src;
-      payload_len;
-      first = false;
-      last = false;
-      seq;
-      ack = false;
-      hs = false;
-      crd = false;
-      agg = true;
-      top = false;
-      col = false;
-    }
-  in
-  (match t.rel with
-  | None -> ()
-  | Some r ->
-      let q = unacked_q r (src, dst) in
-      wait_unacked t r ~src ~dst q;
-      Queue.push (seq, header, Bytes.copy payload) q;
-      let peak = memo t.unacked_peak (src, dst) (fun () -> ref 0) in
-      if Queue.length q > !peak then peak := Queue.length q);
-  ship_packet t ~at:src ~header ~payload ~payload_len
+  emit_sequenced t ~src ~dst Aggregate ~payload ~payload_len
 
 (* The scheduler's [emit] callback. One aggregate may never need more
    credits than the pair's whole budget: the per-frame charge happens
@@ -1836,7 +1695,7 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   if mtu <= Generic_tm.sub_header_size then
     invalid_arg "Vchannel.create: mtu too small";
   let sched_cfg =
-    (* [Fifo] IS the unscheduled path: no scheduler state, no [agg]
+    (* [Fifo] IS the unscheduled path: no scheduler state, no [Aggregate]
        packets, wire format and schedule byte-identical to sched unset. *)
     match sched with
     | None | Some Sched.Fifo -> None
@@ -2223,30 +2082,10 @@ let create session ?(mtu = Config.default_vchannel_mtu)
                   origin = node && me <> node
                   && Simnet.Faults.node_up r.faults me
                 then begin
-                  let resume = !expected in
-                  Engine.spawn t.engine ~daemon:true
-                    ~name:(Printf.sprintf "vchannel.hs.%d->%d" me node)
-                    (fun () ->
-                      let payload = Bytes.create 4 in
-                      Bytes.set_int32_le payload 0 (Int32.of_int epoch);
-                      let header =
-                        {
-                          Generic_tm.final_dst = node;
-                          origin = me;
-                          payload_len = 4;
-                          first = false;
-                          last = false;
-                          seq = resume;
-                          ack = false;
-                          hs = true;
-                          crd = false;
-                          agg = false;
-                          top = false;
-                          col = false;
-                        }
-                      in
-                      try ship_packet t ~at:me ~header ~payload ~payload_len:4
-                      with Partitioned _ | Config.Peer_unreachable _ -> ())
+                  let payload = Bytes.create 4 in
+                  Bytes.set_int32_le payload 0 (Int32.of_int epoch);
+                  send_control t ~name:"hs" ~seq:!expected ~src:me ~dst:node
+                    Handshake payload
                 end)
               r.rx_next;
             (* Flows to peers holding no journal for this node restart
@@ -2512,54 +2351,14 @@ let ship oc ~last =
       try wait_credit t c ~src:oc.oc_src ~dst:oc.oc_dst
       with e -> fail_with e)
   | _ -> ());
-  let seq =
-    match t.rel with
-    | None -> 0
-    | Some r ->
-        (* A crash between two packets of this message loses the flow's
-           cursor; numbering must not resume until the peer's handshake
-           restores it, or the receiver would discard the tail. *)
-        (try wait_handshake t r ~src:oc.oc_src ~dst:oc.oc_dst
-         with e -> fail_with e);
-        let sq = flow_ref r.tx_seq (oc.oc_src, oc.oc_dst) in
-        let s = !sq in
-        sq := (s + 1) land 0xffff;
-        s
-  in
-  let header =
-    {
-      Generic_tm.final_dst = oc.oc_dst;
-      origin = oc.oc_src;
-      payload_len = oc.fill;
-      first = not oc.first_sent;
-      last;
-      seq;
-      ack = false;
-      hs = false;
-      crd = false;
-      agg = false;
-      top = false;
-      col = false;
-    }
-  in
-  (match t.rel with
-  | None -> ()
-  | Some r ->
-      (* Log a copy before shipping: anything unacknowledged can be
-         re-emitted after a gateway crash. The log is bounded — wait for
-         acks to trim it rather than letting it grow with the flow. *)
-      let q = unacked_q r (oc.oc_src, oc.oc_dst) in
-      (try wait_unacked t r ~src:oc.oc_src ~dst:oc.oc_dst q
-       with e -> fail_with e);
-      Queue.push (seq, header, Bytes.sub oc.staging 0 oc.fill) q;
-      let peak = memo t.unacked_peak (oc.oc_src, oc.oc_dst) (fun () -> ref 0) in
-      if Queue.length q > !peak then peak := Queue.length q);
-  (match
-     ship_packet t ~at:oc.oc_src ~header ~payload:oc.staging
-       ~payload_len:oc.fill
-   with
-  | () -> ()
-  | exception e -> fail_with e);
+  (* A crash between two packets of this message loses the flow's
+     cursor; numbering waits in [emit_sequenced] until the peer's
+     handshake restores it, or the receiver would discard the tail. *)
+  (try
+     emit_sequenced t ~src:oc.oc_src ~dst:oc.oc_dst
+       (Data { first = not oc.first_sent; last })
+       ~payload:oc.staging ~payload_len:oc.fill
+   with e -> fail_with e);
   oc.first_sent <- true;
   oc.fill <- 0
 
@@ -2642,11 +2441,7 @@ let join t ~rank =
       let admitted () = Topology.mem lv.lv_snapshot rank in
       (match t.elect with
       | None ->
-          let payload =
-            top_payload ~op:top_join_req ~rank
-              ~epoch:(Topology.epoch lv.lv_snapshot)
-          in
-          ship_top_physical t ~at:rank ~dst:lv.lv_coordinator ~payload;
+          ship_join_req t lv ~rank;
           if not (topo_wait t lv ~until:admitted) then
             raise
               (Partitioned
@@ -2661,12 +2456,8 @@ let join t ~rank =
              that still cannot get through is on a minority side — park
              the intent for post-heal replay and surface a typed error. *)
           let attempt () =
-            let payload =
-              top_payload ~op:top_join_req ~rank
-                ~epoch:(Topology.epoch lv.lv_snapshot)
-            in
             (try
-               ship_top_physical t ~at:rank ~dst:lv.lv_coordinator ~payload;
+               ship_join_req t lv ~rank;
                true
              with Partitioned _ | Config.Peer_unreachable _ -> false)
             && topo_wait t lv ~until:admitted
@@ -2742,19 +2533,9 @@ let drain t ~rank =
       (* Phase 3 — tell the coordinator; it swaps the epoch, forgets the
          rank in every sentinel, and the recomputed routes drop it. *)
       let departed () = not (Topology.mem lv.lv_snapshot rank) in
-      let ship_drain () =
-        let payload =
-          top_payload ~op:top_drain_req ~rank
-            ~epoch:(Topology.epoch lv.lv_snapshot)
-        in
-        let header =
-          top_header ~src:rank ~dst:lv.lv_coordinator ~len:top_payload_size
-        in
-        ship_packet t ~at:rank ~header ~payload ~payload_len:top_payload_size
-      in
       (match t.elect with
       | None ->
-          (try ship_drain ()
+          (try ship_drain_req t lv ~rank
            with Partitioned _ | Config.Peer_unreachable _ ->
              Hashtbl.remove lv.lv_draining rank;
              raise
@@ -2773,7 +2554,7 @@ let drain t ~rank =
       | Some el ->
           let attempt () =
             (try
-               ship_drain ();
+               ship_drain_req t lv ~rank;
                true
              with Partitioned _ | Config.Peer_unreachable _ -> false)
             && topo_wait t lv ~until:departed

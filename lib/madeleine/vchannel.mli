@@ -69,7 +69,7 @@ val create :
     holds at most [credits * mtu] bytes of the flow. Credits are
     receiver-granted and consumption-driven — a paused receiver blocks
     the sender (on a condition variable inside [pack]/[end_packing])
-    instead of letting data pile up; grants are cumulative [crd]
+    instead of letting data pile up; grants are cumulative [Credit]
     packets riding the normal routed path (piggybacking the flow's ack
     on reliable vchannels), and a blocked sender ships a zero-window
     probe every {!Config.credit_probe_interval} so a grant lost to a
@@ -298,10 +298,10 @@ val election_stats : t -> election_stats option
 
 (** {1 Collective control plane}
 
-    Hooks for the {!Collectives} layer. [col] packets ride the ordinary
-    forwarding path (gateways forward them like data) but bypass
-    sequencing, credits and scheduling exactly like [top] packets: the
-    vchannel delivers their payloads to the installed handler and ships
+    Hooks for the {!Collectives} layer. [Collective] packets ride the
+    ordinary forwarding path (gateways forward them like data) but bypass
+    sequencing, credits and scheduling exactly like [Topology] packets:
+    the vchannel delivers their payloads to the installed handler and ships
     the ones the layer emits, with no policy of its own. Without a
     handler installed, the wire format and schedule of every existing
     workload are unchanged. *)
@@ -315,7 +315,7 @@ val send_col : t -> src:int -> dst:int -> Bytes.t -> unit
 
 val set_on_col : t -> (me:int -> origin:int -> Bytes.t -> unit) -> unit
 (** Install the collective-control handler, called from the dispatcher
-    of the destination rank [me] for every [col] payload that reaches
+    of the destination rank [me] for every [Collective] payload that reaches
     it while [me] is up. One handler per vchannel (last install wins). *)
 
 val set_on_health_change : t -> (unit -> unit) -> unit

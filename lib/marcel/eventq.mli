@@ -1,7 +1,7 @@
 (** Monomorphic event queue: a 4-ary min-heap specialized to the
     engine's [(time, seq)] keys.
 
-    Unlike the generic {!Heap}, keys are stored unboxed in flat integer
+    Unlike a generic heap, keys are stored unboxed in flat integer
     arrays and compared with native [int] comparisons — no comparison
     closure, no [Int64] boxing, no polymorphic compare. Elements with
     equal times come out in increasing [seq] order, which is how the

@@ -103,25 +103,41 @@ let test_mode_wire_codes_roundtrip () =
     (Invalid_argument "Iface.send_mode_of_int: 9") (fun () ->
       ignore (Iface.send_mode_of_int 9))
 
+(* One header per kind, in flag-byte order: 0-3 (Data), 4, 8, 16, 20,
+   32, 64, 128. *)
+let all_kinds =
+  Madeleine.Generic_tm.
+    [
+      Data { first = false; last = false };
+      Data { first = true; last = false };
+      Data { first = false; last = true };
+      Data { first = true; last = true };
+      Ack;
+      Handshake;
+      Credit { ack = false };
+      Credit { ack = true };
+      Aggregate;
+      Topology;
+      Collective;
+    ]
+
+let sample_header kind =
+  Madeleine.Generic_tm.make_header ~seq:4242 ~src:77 ~dst:1234 ~len:65536 kind
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i ->
+         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
 let test_generic_tm_header_roundtrip () =
   let module G = Madeleine.Generic_tm in
-  let h =
-    {
-      G.final_dst = 1234;
-      origin = 77;
-      payload_len = 65536;
-      first = true;
-      last = false;
-      seq = 4242;
-      ack = true;
-      hs = false;
-      crd = true;
-      agg = true;
-      top = true;
-      col = true;
-    }
-  in
-  Alcotest.(check bool) "roundtrip" true (G.decode_header (G.encode_header h) = h);
+  List.iter
+    (fun kind ->
+      let h = sample_header kind in
+      Alcotest.(check bool)
+        "roundtrip" true
+        (G.decode_header (G.encode_header h) = h))
+    all_kinds;
   Alcotest.check_raises "corrupt"
     (Invalid_argument "Generic_tm.decode_header: bad magic") (fun () ->
       ignore (G.decode_header (Bytes.create G.header_size)));
@@ -135,6 +151,100 @@ let test_generic_tm_header_roundtrip () =
     (Invalid_argument "Generic_tm.encode_flow_frame_header: flow id out of range")
     (fun () ->
       ignore (G.encode_flow_frame_header ~flow:70000 ~first:false ~last:true ~len:0))
+
+(* The encoding of every kind, byte for byte, as the boolean-flag
+   format wrote it: any edit to [Generic_tm] must keep these. *)
+let test_generic_tm_pinned_bytes () =
+  let pinned =
+    [
+      "d20400004d0000000000010000ad9210";
+      "d20400004d0000000000010001ad9210";
+      "d20400004d0000000000010002ad9210";
+      "d20400004d0000000000010003ad9210";
+      "d20400004d0000000000010004ad9210";
+      "d20400004d0000000000010008ad9210";
+      "d20400004d0000000000010010ad9210";
+      "d20400004d0000000000010014ad9210";
+      "d20400004d0000000000010020ad9210";
+      "d20400004d0000000000010040ad9210";
+      "d20400004d0000000000010080ad9210";
+    ]
+  in
+  List.iter2
+    (fun kind expected ->
+      Alcotest.(check string)
+        "wire bytes" expected
+        (hex (Madeleine.Generic_tm.encode_header (sample_header kind))))
+    all_kinds pinned
+
+let test_generic_tm_illegal_flags () =
+  let module G = Madeleine.Generic_tm in
+  let legal = [ 0; 1; 2; 3; 4; 8; 16; 20; 32; 64; 128 ] in
+  let illegal =
+    List.filter (fun f -> not (List.mem f legal)) (List.init 256 Fun.id)
+  in
+  Alcotest.(check int) "illegal flag bytes" 245 (List.length illegal);
+  List.iter
+    (fun f ->
+      let b = G.encode_header (sample_header G.Ack) in
+      Bytes.set b 12 (Char.chr f);
+      Alcotest.check_raises "illegal flags"
+        (Invalid_argument
+           (Printf.sprintf
+              "Generic_tm.decode_header: illegal flag byte 0x%02x" f))
+        (fun () -> ignore (G.decode_header b)))
+    illegal
+
+(* Every decoder is total: on any bytes and any offset it either returns
+   a value that re-encodes to the bytes it read or raises
+   [Invalid_argument] — never another exception. Bytes are biased toward
+   the magic and the legal flag values so that the accepting paths are
+   exercised, not only the bad-magic rejection. *)
+let prop_generic_tm_decoders_total =
+  let module G = Madeleine.Generic_tm in
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, char);
+          (2, return '\xAD');
+          (2, map Char.chr (oneofl [ 0; 1; 2; 3; 4; 8; 16; 20; 32; 64; 128 ]));
+        ])
+  in
+  let input =
+    QCheck.make
+      ~print:(fun (s, off) -> Printf.sprintf "%S @ %d" s off)
+      QCheck.Gen.(
+        pair (string_size ~gen:byte (int_range 0 40)) (int_range (-12) 48))
+  in
+  let total decode check =
+    match decode () with
+    | v -> check v
+    | exception Invalid_argument _ -> true
+  in
+  QCheck.Test.make ~name:"generic tm decoders are total" ~count:2000 input
+    (fun (s, off) ->
+      let b = Bytes.of_string s in
+      let same ~from a b' ~len =
+        Bytes.sub a from len = Bytes.sub b' 0 len
+      in
+      total
+        (fun () -> G.decode_header b)
+        (fun h -> same ~from:0 b (G.encode_header h) ~len:G.header_size)
+      && total
+           (fun () -> G.decode_sub_header b)
+           (fun (len, sm, rm) ->
+             (* Byte 7 is reserved: written as 0, never read. *)
+             same ~from:0 b (G.encode_sub_header ~len sm rm) ~len:7)
+      && total
+           (fun () -> G.decode_flow_frame_header b off)
+           (fun (flow, first, last, len) ->
+             let e = G.encode_flow_frame_header ~flow ~first ~last ~len in
+             (* Only bits 0-1 of the frame's flag byte are defined. *)
+             let flags = Char.code (Bytes.get b (off + 6)) land 3 in
+             same ~from:off b e ~len:6
+             && Bytes.get b (off + 7) = Bytes.get e 7
+             && Char.chr flags = Bytes.get e 6))
 
 (* ------------------------------------------------------------------ *)
 (* Threshold boundaries: exactly at / around every switch point *)
@@ -433,6 +543,11 @@ let () =
             test_mode_wire_codes_roundtrip;
           Alcotest.test_case "generic tm headers" `Quick
             test_generic_tm_header_roundtrip;
+          Alcotest.test_case "generic tm pinned bytes" `Quick
+            test_generic_tm_pinned_bytes;
+          Alcotest.test_case "generic tm illegal flags" `Quick
+            test_generic_tm_illegal_flags;
+          QCheck_alcotest.to_alcotest prop_generic_tm_decoders_total;
         ] );
       ( "boundaries",
         [
