@@ -406,13 +406,15 @@ let prop_join_drain_converges =
    Partitions are injected at the fault plane, so detection, candidacy
    and commit all ride the normal sentinel/control-plane machinery. *)
 
-let election_world ?(seed = 11L) ?topo_quorum () =
+(* [n] ranks on one TCP fabric named "eth", with a fault plane; [mk]
+   builds the vchannel over the single channel. *)
+let fabric_world ~seed ~n mk =
   let engine = Engine.create () in
   let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
   let faults = Faults.create engine ~seed in
   Fabric.set_faults fabric faults;
   let nodes =
-    Array.init 4 (fun i ->
+    Array.init n (fun i ->
         let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
         Fabric.attach fabric n;
         n)
@@ -423,13 +425,14 @@ let election_world ?(seed = 11L) ?topo_quorum () =
   let ch =
     Channel.create session
       (Madeleine.Pmm_tcp.driver (fun i -> stacks.(i)))
-      ~ranks:[ 0; 1; 2; 3 ] ()
+      ~ranks:(List.init n Fun.id) ()
   in
-  let vc =
-    Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0
-      ~election:true ?topo_quorum [ ch ]
-  in
-  (engine, faults, vc)
+  (engine, faults, mk session faults ch)
+
+let election_world ?(seed = 11L) ?topo_quorum () =
+  fabric_world ~seed ~n:4 (fun session faults ch ->
+      Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0
+        ~election:true ?topo_quorum [ ch ])
 
 (* Sentinel probing is activity-gated; keep every detector's grace
    window open while a scenario runs, as real traffic would. *)
@@ -511,6 +514,55 @@ let test_partition_elects_majority_coordinator () =
   Alcotest.(check int) "no intent left parked" 0 stats.Vc.pending;
   Alcotest.(check bool) "at most one coordinator per epoch" true
     (epochs_unique stats)
+
+(* The two suspicion semantics, seen at the vchannel: rank 2 is cut off
+   from {0, 1}, so rank 2's sentinel suspects both of them. Without an
+   election plane any observer's suspicion stands for everybody, so even
+   the 0 -> 1 flow, whose ends trust each other, reads Down. With one,
+   suspicion is relative to the observer: 0 and 1 still trust each
+   other. Healing the cut clears every verdict in both modes. *)
+let test_suspicion_semantics () =
+  let check ~election =
+    let engine, faults, vc =
+      fabric_world ~seed:5L ~n:3 (fun session faults ch ->
+          if election then
+            Vc.create session ~mtu:4096 ~faults ~topology:1 ~election:true
+              [ ch ]
+          else Vc.create session ~mtu:4096 ~faults [ ch ])
+    in
+    let stop = ref false in
+    spawn_prober engine vc ~stop;
+    let cut = ref (Madeleine.Iface.Up, true)
+    and healed = ref (Madeleine.Iface.Down, false) in
+    let observe () = (Vc.peer_status vc ~src:0 ~dst:1, Vc.rank_alive vc 1) in
+    Engine.spawn engine ~name:"script" (fun () ->
+        Engine.sleep (Time.ms 2.0);
+        Faults.partition faults ~fabric:"eth" [ 2 ] [ 0; 1 ];
+        Engine.sleep (Time.ms 60.0);
+        cut := observe ();
+        Faults.heal faults ~fabric:"eth";
+        Engine.sleep (Time.ms 100.0);
+        healed := observe ();
+        stop := true);
+    Engine.run engine;
+    let mode = if election then "election" else "no election" in
+    let status = Alcotest.testable Madeleine.Iface.pp_health ( = ) in
+    let during_status, during_alive =
+      if election then (Madeleine.Iface.Up, true)
+      else (Madeleine.Iface.Down, false)
+    in
+    Alcotest.check status (mode ^ ": 0 -> 1 during the cut") during_status
+      (fst !cut);
+    Alcotest.(check bool)
+      (mode ^ ": rank 1 alive during the cut")
+      during_alive (snd !cut);
+    Alcotest.check status (mode ^ ": 0 -> 1 after the heal") Madeleine.Iface.Up
+      (fst !healed);
+    Alcotest.(check bool) (mode ^ ": rank 1 alive after the heal") true
+      (snd !healed)
+  in
+  check ~election:false;
+  check ~election:true
 
 (* Random partition/heal/coordinator-crash/join/drain schedules. Safety:
    at most one coordinator ever commits any given epoch (the commits
@@ -769,6 +821,8 @@ let () =
         [
           Alcotest.test_case "partition: majority elects, minority parks"
             `Quick test_partition_elects_majority_coordinator;
+          Alcotest.test_case "suspicion semantics" `Quick
+            test_suspicion_semantics;
           QCheck_alcotest.to_alcotest prop_split_brain_safe;
         ] );
       ( "chaos",
