@@ -71,6 +71,52 @@ let decode_header b =
     seq = Bytes.get_uint16_le b 14;
     kind = kind_of_flags (Char.code (Bytes.get b 12));
   }
+
+type topology_op =
+  | Join_req of { rank : int; epoch : int }
+  | Join_ack of { rank : int; epoch : int }
+  | Drain_req of { rank : int; epoch : int }
+  | Vote_req of { rank : int; term : int; committed : int; watermark : int }
+  | Vote_ack of { rank : int; term : int; committed : int; watermark : int }
+  | Coord of { rank : int; term : int; committed : int; watermark : int }
+
+let encode_topology op =
+  let code, fields =
+    match op with
+    | Join_req { rank; epoch } -> (1, [ rank; epoch ])
+    | Join_ack { rank; epoch } -> (2, [ rank; epoch ])
+    | Drain_req { rank; epoch } -> (3, [ rank; epoch ])
+    | Vote_req { rank; term; committed; watermark } ->
+        (4, [ rank; term; committed; watermark ])
+    | Vote_ack { rank; term; committed; watermark } ->
+        (5, [ rank; term; committed; watermark ])
+    | Coord { rank; term; committed; watermark } ->
+        (6, [ rank; term; committed; watermark ])
+  in
+  let b = Bytes.create (1 + (4 * List.length fields)) in
+  Bytes.set b 0 (Char.chr code);
+  List.iteri
+    (fun i v -> Bytes.set_int32_le b (1 + (4 * i)) (Int32.of_int v))
+    fields;
+  b
+
+let decode_topology b =
+  let field i = Int32.to_int (Bytes.get_int32_le b (1 + (4 * i))) in
+  let short () = invalid_arg "Generic_tm.decode_topology: short payload" in
+  if Bytes.length b < 9 then short ();
+  let rank = field 0 in
+  match Char.code (Bytes.get b 0) with
+  | 1 -> Join_req { rank; epoch = field 1 }
+  | 2 -> Join_ack { rank; epoch = field 1 }
+  | 3 -> Drain_req { rank; epoch = field 1 }
+  | 4 | 5 | 6 when Bytes.length b < 17 -> short ()
+  | 4 -> Vote_req { rank; term = field 1; committed = field 2; watermark = field 3 }
+  | 5 -> Vote_ack { rank; term = field 1; committed = field 2; watermark = field 3 }
+  | 6 -> Coord { rank; term = field 1; committed = field 2; watermark = field 3 }
+  | op ->
+      invalid_arg
+        (Printf.sprintf "Generic_tm.decode_topology: unknown op 0x%02x" op)
+
 let sub_header_size = Config.buffer_header_size
 
 let encode_sub_header ~len s r =

@@ -54,8 +54,7 @@ type kind =
           [version=] set): a join request / join acknowledgment / drain
           notice or an election message, addressed to the coordinator or
           to a member (see {!Vchannel.join} / {!Vchannel.drain}). The
-          payload carries an opcode byte, the subject rank, and the
-          epoch, all little-endian. *)
+          payload is one {!topology_op}. *)
   | Collective
       (** Collective-control packet for vchannels with a {!Collectives}
           layer attached: a contribution travelling up a spanning tree, a
@@ -94,6 +93,35 @@ val decode_header : Bytes.t -> packet_header
     [Invalid_argument "Generic_tm.decode_header: illegal flag byte 0xNN"]
     on a flag byte that names no kind. Every header it returns
     re-encodes to the bytes it was decoded from. *)
+
+(** {1 Topology payloads}
+
+    The payload of a [Topology] packet: an opcode byte, then
+    little-endian int32 fields. The membership ops carry the subject
+    rank and the sender's epoch (9 bytes); the election ops carry the
+    sender's rank, the term, the sender's highest committed epoch and a
+    watermark (17 bytes): the candidate's delivery-journal depth on
+    [Vote_req], the voter's crash epoch on [Vote_ack]. *)
+
+type topology_op =
+  | Join_req of { rank : int; epoch : int }  (** opcode 1 *)
+  | Join_ack of { rank : int; epoch : int }  (** opcode 2 *)
+  | Drain_req of { rank : int; epoch : int }  (** opcode 3 *)
+  | Vote_req of { rank : int; term : int; committed : int; watermark : int }
+      (** opcode 4 *)
+  | Vote_ack of { rank : int; term : int; committed : int; watermark : int }
+      (** opcode 5 *)
+  | Coord of { rank : int; term : int; committed : int; watermark : int }
+      (** opcode 6: the winner's commit announcement *)
+
+val encode_topology : topology_op -> Bytes.t
+
+val decode_topology : Bytes.t -> topology_op
+(** Bytes past an op's layout are ignored. Raises [Invalid_argument
+    "Generic_tm.decode_topology: short payload"] on fewer than 9 bytes
+    or an election op shorter than 17, and [Invalid_argument
+    "Generic_tm.decode_topology: unknown op 0xNN"] on any other
+    opcode. *)
 
 val sub_header_size : int
 

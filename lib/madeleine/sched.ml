@@ -23,11 +23,10 @@ type stats = {
   sched_mean_frames : float;
   sched_flush_full : int;
   sched_flush_deadline : int;
-  sched_flush_barrier : int;
   sched_flush_flow : int;
 }
 
-type reason = Full | Deadline | Barrier | Flow_order
+type reason = Full | Deadline | Flow_order
 
 (* Per-(src, dst) pending batch. [frames_rev] holds submitted-but-not-
    emitted small frames newest-first; [gen] increments every time a
@@ -54,7 +53,6 @@ type t = {
   mutable emitted_frames : int;
   mutable flush_full : int;
   mutable flush_deadline : int;
-  mutable flush_barrier : int;
   mutable flush_flow : int;
 }
 
@@ -74,7 +72,6 @@ let create engine ~aggr_max ~aggr_flush ~emit =
     emitted_frames = 0;
     flush_full = 0;
     flush_deadline = 0;
-    flush_barrier = 0;
     flush_flow = 0;
   }
 
@@ -92,7 +89,6 @@ let frame_wire_size fr = Generic_tm.flow_frame_header_size + Bytes.length fr.fr_
 let note_reason t = function
   | Full -> t.flush_full <- t.flush_full + 1
   | Deadline -> t.flush_deadline <- t.flush_deadline + 1
-  | Barrier -> t.flush_barrier <- t.flush_barrier + 1
   | Flow_order -> t.flush_flow <- t.flush_flow + 1
 
 (* Ship one batch. Caller holds [p.mu]. *)
@@ -191,16 +187,6 @@ let submit t ~src ~dst ~bulk fr =
     if p.bytes >= t.aggr_max then flush t ~src ~dst p Full
   end
 
-let flush_pair t ~src ~dst =
-  match Hashtbl.find_opt t.pairs (src, dst) with
-  | None -> ()
-  | Some p -> flush t ~src ~dst p Barrier
-
-let flush_all t ~src =
-  Hashtbl.fold (fun (s, d) _ acc -> if s = src then d :: acc else acc) t.pairs []
-  |> List.sort compare
-  |> List.iter (fun dst -> flush_pair t ~src ~dst)
-
 let stats t =
   {
     sched_frames = t.frames;
@@ -211,6 +197,5 @@ let stats t =
        else float_of_int t.emitted_frames /. float_of_int t.aggregates);
     sched_flush_full = t.flush_full;
     sched_flush_deadline = t.flush_deadline;
-    sched_flush_barrier = t.flush_barrier;
     sched_flush_flow = t.flush_flow;
   }

@@ -85,6 +85,9 @@ end
 
 type hop = { hop_channel : Channel.t; hop_to : int }
 
+(* Threads parked on one condition by [park], newest first. *)
+type waiters = (unit -> unit) list ref
+
 exception Partitioned of string
 
 exception No_quorum of string
@@ -117,17 +120,13 @@ type rel = {
   sentinels : (int, Sentinel.t) Hashtbl.t; (* per-rank failure detectors *)
   suspected : (int * int, unit) Hashtbl.t;
       (* (observer, peer): observer's sentinel currently calls the
-         still-live peer Down. Under a partition the two sides suspect
-         each other, so suspicion is meaningful only relative to who is
-         looking — a global "someone suspects it" bit would take every
-         rank down at once. *)
+         still-live peer Down. Written only by [suspect] and [trust]. *)
   susp_count : (int, int) Hashtbl.t;
       (* peer -> number of observers suspecting it; the O(1)
-         "suspected by anyone" view used when no election plane makes
-         suspicion viewer-relative *)
-  mutable route_waiters : (unit -> unit) list;
-  mutable hs_waiters : (unit -> unit) list;
-  mutable ack_waiters : (unit -> unit) list;
+         "suspected by anyone" view (see [distrusts]) *)
+  route_waiters : waiters;
+  hs_waiters : waiters;
+  ack_waiters : waiters;
       (* senders blocked on a full unacked log, woken by ack arrivals *)
   mutable reroutes : int;
   mutable reemitted : int;
@@ -214,8 +213,7 @@ type live = {
   mutable lv_drains : int;
   mutable lv_scale_outs : int;
   mutable lv_scale_ins : int;
-  mutable lv_waiters : (unit -> unit) list;
-      (* threads parked on the next epoch swap *)
+  lv_waiters : waiters; (* threads parked on the next epoch swap *)
 }
 
 (* Suppressed membership intents of a partitioned minority, replayed
@@ -234,7 +232,6 @@ type intent = P_join of int | P_drain of int
 type elect = {
   el_quorum : int option; (* pinned ballot quorum ([?topo_quorum]);
                              [None] = majority of the current membership *)
-  mutable el_term : int; (* highest term seen locally *)
   mutable el_elections : int; (* committed elections *)
   mutable el_attempts : int; (* candidacies started *)
   mutable el_refusals : int; (* candidacies/epoch bumps refused: no quorum *)
@@ -277,10 +274,8 @@ type t = {
   gw_busy : (int, int ref) Hashtbl.t; (* per-node busy pool slots *)
   overload_gen : (int, int) Hashtbl.t; (* cancels stale hold timers *)
   mutable overload_events : int; (* Overloaded transitions (rising edges) *)
-  mutable on_overload_change : unit -> unit; (* rel: recompute + reemit *)
   live : live option; (* live topology (clusterfile version=) *)
   elect : elect option; (* quorum elections (clusterfile election=on) *)
-  mutable on_topo_change : unit -> unit; (* epoch swap: recompute + reemit *)
   mutable on_col : me:int -> origin:int -> Bytes.t -> unit;
       (* collective-control packets, delivered to the Collectives layer *)
   mutable on_health_change : unit -> unit;
@@ -298,6 +293,9 @@ let memo table key mk =
       let v = mk () in
       Hashtbl.add table key v;
       v
+
+(* The value of a per-node int table, 0 when absent. *)
+let count table key = Option.value ~default:0 (Hashtbl.find_opt table key)
 
 let starts t ~me ~origin ~flow =
   memo t.starts (me, origin, flow) (fun () -> Mailbox.create ())
@@ -433,30 +431,110 @@ let next_hop t ~at ~dst =
           invalid_arg (Printf.sprintf "Vchannel: no route from %d to %d" at dst))
 
 let touch_sentinel t ~rank =
-  match t.rel with
-  | None -> ()
-  | Some r -> (
-      match Hashtbl.find_opt r.sentinels rank with
-      | Some s -> Sentinel.touch s
-      | None -> ())
+  Option.iter
+    (fun r -> Option.iter Sentinel.touch (Hashtbl.find_opt r.sentinels rank))
+    t.rel
 
-(* Wait — bounded by the vchannel's patience — for a route recomputation
-   to restore a path from [at] to [dst]. A node restarting with a new
-   epoch is unroutable for the length of its restart window; waiting it
-   out here is what lets in-flight flows survive a crash-restart instead
-   of dying on the transient hole. *)
-let wait_route t r ~at ~dst =
+(* ------------------------------------------------------------------ *)
+(* What every route decision reads from the planes *)
+
+(* Liveness from the fault plane; every node is up without one. *)
+let node_up t n =
+  match t.rel with Some r -> Simnet.Faults.node_up r.faults n | None -> true
+
+(* The suspicion record. [suspect] and [trust] are its only writers;
+   they keep [susp_count] equal to the number of observers suspecting
+   each peer. *)
+let suspect r ~viewer n =
+  Hashtbl.replace r.suspected (viewer, n) ();
+  Hashtbl.replace r.susp_count n (1 + count r.susp_count n)
+
+let trust r ~viewer n =
+  if Hashtbl.mem r.suspected (viewer, n) then begin
+    Hashtbl.remove r.suspected (viewer, n);
+    match Hashtbl.find_opt r.susp_count n with
+    | Some k when k <= 1 -> Hashtbl.remove r.susp_count n
+    | Some k -> Hashtbl.replace r.susp_count n (k - 1)
+    | None -> ()
+  end
+
+(* Whether [viewer] holds [n] under suspicion. Without an election plane
+   any observer's verdict stands for everybody, so [viewer] does not
+   matter. With one, suspicion is relative to the observer: under a
+   partition the two sides suspect each other, and a "suspected by
+   anyone" bit would take every rank down at once. *)
+let distrusts t ~viewer n =
+  match (t.rel, t.elect) with
+  | None, _ -> false
+  | Some r, Some _ -> viewer <> n && Hashtbl.mem r.suspected (viewer, n)
+  | Some r, None -> Hashtbl.mem r.susp_count n
+
+(* The route predicate: the hop [viewer -> n] is unusable when [n] is
+   not a member of the current topology epoch (never a relay, never an
+   endpoint), is down, or is distrusted by [viewer]. Without any plane
+   every hop is usable: routes are those of a fixed-topology
+   vchannel. *)
+let down t viewer n =
+  (match t.live with
+  | Some lv -> not (Topology.mem lv.lv_snapshot n)
+  | None -> false)
+  || (not (node_up t n))
+  || distrusts t ~viewer n
+
+(* ------------------------------------------------------------------ *)
+(* Patience-bounded waits *)
+
+let wake_all (w : waiters) =
+  let parked = !w in
+  w := [];
+  List.iter (fun wake -> wake ()) parked
+
+(* Suspend once on [w]: resumed by the next [wake_all w] or at
+   [deadline], whichever comes first. *)
+let park t (w : waiters) ~name ~deadline =
+  Engine.suspend ~name (fun wake ->
+      w := wake :: !w;
+      Engine.at t.engine deadline wake)
+
+(* Park on [w] until [until ()] holds or the vchannel's patience runs
+   out; returns [until ()]. *)
+let await t w ~name ~until =
   let deadline = Time.add (Engine.now t.engine) t.patience in
-  while
-    (not (Hashtbl.mem t.routes (at, dst)))
-    && Time.( < ) (Engine.now t.engine) deadline
-  do
-    Engine.suspend ~name:"vchannel.route" (fun wake ->
-        r.route_waiters <- wake :: r.route_waiters;
-        Engine.at t.engine deadline wake)
+  while (not (until ())) && Time.( < ) (Engine.now t.engine) deadline do
+    park t w ~name ~deadline
   done;
-  if not (Hashtbl.mem t.routes (at, dst)) then
+  until ()
+
+(* Wait for a route recomputation to restore a path from [at] to [dst].
+   A node restarting with a new epoch is unroutable for the length of
+   its restart window; waiting it out here is what lets in-flight flows
+   survive a crash-restart instead of dying on the transient hole. *)
+let wait_route t r ~at ~dst =
+  if
+    not
+      (await t r.route_waiters ~name:"vchannel.route" ~until:(fun () ->
+           Hashtbl.mem t.routes (at, dst)))
+  then
     raise (Partitioned (Printf.sprintf "Vchannel: no route from %d to %d" at dst))
+
+(* Recompute every route. A reliable vchannel prefers routes that avoid
+   Overloaded gateways — shifting traffic onto an alternate gateway when
+   one exists — but never at the price of reachability: pairs only
+   connected through an overloaded node keep their direct route. *)
+let recompute_routes t =
+  let fresh = compute_routes ~down:(down t) t.channels t.all_ranks in
+  (match t.rel with
+  | Some r ->
+      if Hashtbl.length t.overloaded > 0 then begin
+        let down_or_overloaded u n = down t u n || Hashtbl.mem t.overloaded n in
+        let strict =
+          compute_routes ~down:down_or_overloaded t.channels t.all_ranks
+        in
+        Hashtbl.iter (fun key hops -> Hashtbl.replace fresh key hops) strict
+      end;
+      t.routes <- fresh;
+      wake_all r.route_waiters
+  | None -> t.routes <- fresh)
 
 (* Ship one self-described packet over one hop as a regular Madeleine
    message on the hop's real channel: EXPRESS header, CHEAPER payload. A
@@ -520,6 +598,74 @@ let send_control t ~name ?seq ~src ~dst kind payload =
       try ship_packet t ~at:src ~header ~payload ~payload_len:len
       with Partitioned _ | Config.Peer_unreachable _ -> ())
 
+(* The lock that serializes emission for a (src, dst) pair: with a
+   scheduler it is the scheduler's pair lock (aggregates are numbered
+   and shipped under it), without one it is the flow-0 message lock —
+   the only flow that exists. Crash re-emission must hold it so
+   re-emitted packets cannot interleave with a packet being emitted. *)
+let emission_lock t ~src ~dst =
+  match t.sched with
+  | Some sc -> Sched.pair_lock sc ~src ~dst
+  | None -> send_lock t ~src ~dst ~flow:0
+
+(* After a membership change, re-emit every unacknowledged packet of
+   the affected live flows over the recomputed routes ([only] narrows
+   the set — an epoch swap re-emits just the flows whose route actually
+   changed). One daemon per flow; it takes the flow's message lock so
+   re-emitted packets cannot interleave with (and overtake) a message
+   in progress — the receiver's sequence check would then discard the
+   overtaken packets for good. *)
+let reemit_flows ?(only = fun _ _ -> true) t r =
+  Hashtbl.iter
+    (fun (src, dst) q ->
+      if only src dst && node_up t src && not (Queue.is_empty q) then
+        Engine.spawn t.engine ~daemon:true
+          ~name:(Printf.sprintf "vchannel.reemit.%d->%d" src dst)
+          (fun () ->
+            Mutex.lock (emission_lock t ~src ~dst);
+            let snapshot = List.of_seq (Queue.to_seq q) in
+            (try
+               List.iter
+                 (fun (seq, header, payload) ->
+                   (* Skip packets acked while we waited for the lock. *)
+                   if Queue.fold (fun f (s, _, _) -> f || s = seq) false q
+                   then begin
+                     r.reemitted <- r.reemitted + 1;
+                     ship_packet t ~at:src ~header ~payload
+                       ~payload_len:(Bytes.length payload)
+                   end)
+                 snapshot
+             with Partitioned _ | Config.Peer_unreachable _ -> ());
+            Mutex.unlock (emission_lock t ~src ~dst)))
+    r.unacked
+
+(* Re-converge after an Overloaded edge or a topology epoch swap:
+   recompute routes, then re-emit only the flows whose route actually
+   changed. Switching routes mid-flow can strand packets the
+   destination's sequence check discarded as overtakers, and when no
+   alternate gateway exists re-emitting into an already-overloaded path
+   would feed the congestion it reports. Without a reliability plane
+   there is nothing to re-emit and routes ignore overload, so only an
+   epoch swap ([~membership:true]) recomputes them. *)
+let reconverge t ~membership =
+  match t.rel with
+  | None -> if membership then recompute_routes t
+  | Some r ->
+      let route_sig () =
+        Hashtbl.fold
+          (fun key hops acc ->
+            (key, List.map (fun h -> (Channel.id h.hop_channel, h.hop_to)) hops)
+            :: acc)
+          t.routes []
+        |> List.sort compare
+      in
+      let before = route_sig () in
+      recompute_routes t;
+      let after = route_sig () in
+      if after <> before then
+        reemit_flows t r ~only:(fun src dst ->
+            List.assoc_opt (src, dst) before <> List.assoc_opt (src, dst) after)
+
 let flow_ref table key = memo table key (fun () -> ref 0)
 let unacked_q r key = memo r.unacked key (fun () -> Queue.create ())
 
@@ -544,9 +690,7 @@ let handle_ack r header =
         let s, _, _ = Queue.peek q in
         if at_or_before s then ignore (Queue.pop q) else continue := false
       done);
-  let waiters = r.ack_waiters in
-  r.ack_waiters <- [];
-  List.iter (fun wake -> wake ()) waiters
+  wake_all r.ack_waiters
 
 (* ------------------------------------------------------------------ *)
 (* Credit plane *)
@@ -639,9 +783,7 @@ let handle_crd t ~me ~ack header payload =
       else begin
         (* Zero-window probe: answer with the current consumed count,
            unless this host is down. *)
-        match t.rel with
-        | Some r when not (Simnet.Faults.node_up r.faults me) -> ()
-        | _ -> send_grant t c ~me ~origin:header.Generic_tm.origin
+        if node_up t me then send_grant t c ~me ~origin:header.Generic_tm.origin
       end
 
 (* Cumulative ack from [me] back to the flow's origin, riding the normal
@@ -672,33 +814,24 @@ let handle_hs r ~me header payload =
     if resume > !sq then sq := resume;
     Hashtbl.remove r.tx_lost (me, peer);
     r.handshakes <- r.handshakes + 1;
-    let waiters = r.hs_waiters in
-    r.hs_waiters <- [];
-    List.iter (fun wake -> wake ()) waiters
+    wake_all r.hs_waiters
   end
 
 (* Block a send on a flow whose cursor was lost to a crash until the
    peer's handshake restores it — or patience runs out (peer never comes
    back, or never held any of our data so no handshake will come). *)
 let wait_handshake t r ~src ~dst =
-  if Hashtbl.mem r.tx_lost (src, dst) then begin
-    let deadline = Time.add (Engine.now t.engine) t.patience in
-    while
-      Hashtbl.mem r.tx_lost (src, dst)
-      && Time.( < ) (Engine.now t.engine) deadline
-    do
-      Engine.suspend ~name:"vchannel.handshake" (fun wake ->
-          r.hs_waiters <- wake :: r.hs_waiters;
-          Engine.at t.engine deadline wake)
-    done;
-    if Hashtbl.mem r.tx_lost (src, dst) then
-      raise
-        (Partitioned
-           (Printf.sprintf
-              "Vchannel: flow %d->%d lost its session to a crash and no \
-               handshake restored it"
-              src dst))
-  end
+  if
+    not
+      (await t r.hs_waiters ~name:"vchannel.handshake" ~until:(fun () ->
+           not (Hashtbl.mem r.tx_lost (src, dst))))
+  then
+    raise
+      (Partitioned
+         (Printf.sprintf
+            "Vchannel: flow %d->%d lost its session to a crash and no \
+             handshake restored it"
+            src dst))
 
 (* ------------------------------------------------------------------ *)
 (* Live topology: the join/drain control plane. Membership changes are
@@ -708,54 +841,11 @@ let wait_handshake t r ~src ~dst =
    snapshot, recompute routes, re-emit only the flows whose routes
    changed. *)
 
-let top_join_req = 1
-let top_join_ack = 2
-let top_drain_req = 3
-
-(* Election ops ride the same [Topology] control plane. Their payload is
-   the 9-byte membership layout extended by two fields: the sender's
-   highest committed epoch and a watermark — the candidate's
-   delivery-journal depth on a vote request (the audit surface for
-   highest-committed-wins reconciliation), the voter's crash epoch on a
-   vote ack (what lets the candidate discard ballots from voters that
-   have since restarted). *)
-let top_vote_req = 4
-let top_vote_ack = 5
-let top_coord = 6
-let top_payload_size = 9
-let top_ext_payload_size = 17
-
-let top_payload ~op ~rank ~epoch =
-  let b = Bytes.create top_payload_size in
-  Bytes.set b 0 (Char.chr op);
-  Bytes.set_int32_le b 1 (Int32.of_int rank);
-  Bytes.set_int32_le b 5 (Int32.of_int epoch);
-  b
-
-let top_ext_payload ~op ~rank ~term ~committed ~watermark =
-  let b = Bytes.create top_ext_payload_size in
-  Bytes.set b 0 (Char.chr op);
-  Bytes.set_int32_le b 1 (Int32.of_int rank);
-  Bytes.set_int32_le b 5 (Int32.of_int term);
-  Bytes.set_int32_le b 9 (Int32.of_int committed);
-  Bytes.set_int32_le b 13 (Int32.of_int watermark);
-  b
-
-let topo_wake lv =
-  let waiters = lv.lv_waiters in
-  lv.lv_waiters <- [];
-  List.iter (fun wake -> wake ()) waiters
+let topo_wake lv = wake_all lv.lv_waiters
 
 (* Park until [until ()] holds or patience runs out; epoch swaps wake
    every parked thread. Returns whether the condition was reached. *)
-let topo_wait t lv ~until =
-  let deadline = Time.add (Engine.now t.engine) t.patience in
-  while (not (until ())) && Time.( < ) (Engine.now t.engine) deadline do
-    Engine.suspend ~name:"vchannel.topology" (fun wake ->
-        lv.lv_waiters <- wake :: lv.lv_waiters;
-        Engine.at t.engine deadline wake)
-  done;
-  until ()
+let topo_wait t lv ~until = await t lv.lv_waiters ~name:"vchannel.topology" ~until
 
 let shares_channel t a b =
   List.exists
@@ -764,22 +854,12 @@ let shares_channel t a b =
 
 (* Drop every suspicion record involving [rank] — as the suspect (any
    observer's entry) and as an observer (its own verdicts die with its
-   departure), keeping the by-any count in step. *)
+   departure). *)
 let unsuspect_all r rank =
-  let stale =
-    Hashtbl.fold
-      (fun ((o, p) as key) () acc ->
-        if o = rank || p = rank then key :: acc else acc)
-      r.suspected []
-  in
-  List.iter
-    (fun ((_, p) as key) ->
-      Hashtbl.remove r.suspected key;
-      match Hashtbl.find_opt r.susp_count p with
-      | Some n when n <= 1 -> Hashtbl.remove r.susp_count p
-      | Some n -> Hashtbl.replace r.susp_count p (n - 1)
-      | None -> ())
-    stale
+  Hashtbl.fold
+    (fun ((o, p) as key) () acc -> if o = rank || p = rank then key :: acc else acc)
+    r.suspected []
+  |> List.iter (fun (o, p) -> trust r ~viewer:o p)
 
 let sentinels_learn t rank =
   match t.rel with
@@ -808,16 +888,12 @@ let sentinels_forget t rank =
 let apply_swap t lv snap =
   lv.lv_snapshot <- snap;
   lv.lv_coordinator <- Topology.coordinator snap;
-  t.on_topo_change ();
+  reconverge t ~membership:true;
   t.on_health_change ();
   topo_wake lv
 
-let send_top t ~src ~dst ~op ~rank ~epoch =
-  send_control t ~name:"top" ~src ~dst Topology (top_payload ~op ~rank ~epoch)
-
-let send_top_ext t ~src ~dst ~op ~rank ~term ~committed ~watermark =
-  send_control t ~name:"top" ~src ~dst Topology
-    (top_ext_payload ~op ~rank ~term ~committed ~watermark)
+let send_top t ~src ~dst op =
+  send_control t ~name:"top" ~src ~dst Topology (Generic_tm.encode_topology op)
 
 (* The members of [viewer]'s side of the world: reachable over hops
    whose sender trusts the receiver (the routes are computed with the
@@ -826,11 +902,7 @@ let send_top_ext t ~src ~dst ~op ~rank ~term ~committed ~watermark =
    whole live membership. *)
 let side_members t lv ~viewer =
   List.filter
-    (fun m ->
-      (match t.rel with
-      | Some r -> Simnet.Faults.node_up r.faults m
-      | None -> true)
-      && (m = viewer || Hashtbl.mem t.routes (viewer, m)))
+    (fun m -> node_up t m && (m = viewer || Hashtbl.mem t.routes (viewer, m)))
     (Topology.ranks lv.lv_snapshot)
 
 (* The ballot quorum in force right now. Unpinned, it is a majority of
@@ -857,36 +929,30 @@ let journal_watermark t rank =
           if me = rank then acc + !expected else acc)
         r.rx_next 0
 
-let handle_top t ~me header payload =
+(* A coordinator that cannot see a quorum refuses to bump the epoch: a
+   partitioned minority must surface typed errors, not diverge from the
+   majority's membership history. Without an election plane the static
+   coordinator always commits. *)
+let may_commit t lv ~me =
+  match t.elect with
+  | None -> true
+  | Some el ->
+      let ok = side_has_quorum t lv el ~viewer:me in
+      if not ok then el.el_refusals <- el.el_refusals + 1;
+      ok
+
+(* A [Topology] packet reached a live rank [me]. Payloads the decoder
+   rejects are ignored. *)
+let handle_top t ~me payload =
   match t.live with
-  | None -> () (* stray control packet on a fixed-topology vchannel *)
-  | Some lv ->
-      let alive =
-        match t.rel with
-        | Some r -> Simnet.Faults.node_up r.faults me
-        | None -> true
-      in
-      if alive && Bytes.length payload >= top_payload_size then begin
-        let op = Char.code (Bytes.get payload 0) in
-        let rank = Int32.to_int (Bytes.get_int32_le payload 1) in
-        ignore header;
-        (* A coordinator that cannot see a quorum refuses to bump the
-           epoch: a partitioned minority must surface typed errors, not
-           diverge from the majority's membership history. Without an
-           election plane the static coordinator always commits. *)
-        let may_commit () =
-          match t.elect with
-          | None -> true
-          | Some el ->
-              let ok = side_has_quorum t lv el ~viewer:me in
-              if not ok then el.el_refusals <- el.el_refusals + 1;
-              ok
-        in
-        if op = top_join_req then begin
+  | Some lv when node_up t me -> (
+      match Generic_tm.decode_topology payload with
+      | exception Invalid_argument _ -> ()
+      | Join_req { rank; _ } ->
           if
             me = lv.lv_coordinator
             && (not (Topology.mem lv.lv_snapshot rank))
-            && may_commit ()
+            && may_commit t lv ~me
           then begin
             let snap = Topology.join lv.lv_snapshot rank in
             lv.lv_joins <- lv.lv_joins + 1;
@@ -895,17 +961,15 @@ let handle_top t ~me header payload =
             apply_swap t lv snap;
             (* The swap above made the joiner routable; the ack rides
                the recomputed routes and carries the epoch it joined. *)
-            send_top t ~src:me ~dst:rank ~op:top_join_ack ~rank
-              ~epoch:(Topology.epoch snap)
+            send_top t ~src:me ~dst:rank
+              (Join_ack { rank; epoch = Topology.epoch snap })
           end
-        end
-        else if op = top_join_ack then topo_wake lv
-        else if op = top_drain_req then begin
+      | Drain_req { rank; _ } ->
           if
             me = lv.lv_coordinator
             && Topology.mem lv.lv_snapshot rank
             && rank <> lv.lv_coordinator
-            && may_commit ()
+            && may_commit t lv ~me
           then begin
             let snap = Topology.drain lv.lv_snapshot rank in
             lv.lv_drains <- lv.lv_drains + 1;
@@ -914,52 +978,47 @@ let handle_top t ~me header payload =
             sentinels_forget t rank;
             apply_swap t lv snap
           end
-        end
-        else if Bytes.length payload >= top_ext_payload_size then begin
-          let term = Int32.to_int (Bytes.get_int32_le payload 5) in
-          let committed = Int32.to_int (Bytes.get_int32_le payload 9) in
-          let watermark = Int32.to_int (Bytes.get_int32_le payload 13) in
-          if op = top_vote_req then begin
-            (* [rank] asks for this rank's ballot in [term]. Refuse
-               candidates behind our committed epoch (highest-committed
-               wins on merge) and grant at most one ballot per term; the
-               ack carries our crash epoch so the candidate can discard
-               the ballot if we restart before it counts. *)
-            match (t.elect, t.rel) with
-            | Some el, Some r when Topology.mem lv.lv_snapshot me ->
-                el.el_term <- max el.el_term term;
-                if committed >= Topology.epoch lv.lv_snapshot then begin
-                  match Hashtbl.find_opt r.sentinels me with
-                  | Some s when Sentinel.grant_vote s ~term ->
-                      send_top_ext t ~src:me ~dst:rank ~op:top_vote_ack
-                        ~rank:me ~term
-                        ~committed:(Topology.epoch lv.lv_snapshot)
-                        ~watermark:(Simnet.Faults.epoch r.faults me)
-                  | _ -> ()
-                end
-            | _ -> ()
-          end
-          else if op = top_vote_ack then begin
-            (* A ballot granted to this rank: [watermark] is the voter's
-               crash epoch at the grant. *)
-            match (t.elect, t.rel) with
-            | Some _, Some r ->
-                (match Hashtbl.find_opt r.sentinels me with
-                | Some s ->
-                    Sentinel.record_ballot s ~voter:rank ~term
-                      ~voter_epoch:watermark
-                | None -> ());
-                topo_wake lv
-            | _ -> ()
-          end
-          else if op = top_coord then
-            (* Commit announcement from the winner; the swap itself
-               already happened at the electorate's shared snapshot —
-               this packet is what makes the result observable on the
-               wire and wakes anyone parked on the old coordinator. *)
-            topo_wake lv
-        end
-      end
+      | Vote_req { rank; term; committed; _ } -> (
+          (* [rank] asks for this rank's ballot in [term]. Refuse
+             candidates behind our committed epoch (highest-committed
+             wins on merge) and grant at most one ballot per term; the
+             ack carries our crash epoch so the candidate can discard
+             the ballot if we restart before it counts. *)
+          match (t.elect, t.rel) with
+          | Some _, Some r when Topology.mem lv.lv_snapshot me ->
+              if committed >= Topology.epoch lv.lv_snapshot then begin
+                match Hashtbl.find_opt r.sentinels me with
+                | Some s when Sentinel.grant_vote s ~term ->
+                    send_top t ~src:me ~dst:rank
+                      (Vote_ack
+                         {
+                           rank = me;
+                           term;
+                           committed = Topology.epoch lv.lv_snapshot;
+                           watermark = Simnet.Faults.epoch r.faults me;
+                         })
+                | _ -> ()
+              end
+          | _ -> ())
+      | Vote_ack { rank; term; watermark; _ } -> (
+          (* A ballot granted to this rank: [watermark] is the voter's
+             crash epoch at the grant. *)
+          match (t.elect, t.rel) with
+          | Some _, Some r ->
+              (match Hashtbl.find_opt r.sentinels me with
+              | Some s ->
+                  Sentinel.record_ballot s ~voter:rank ~term
+                    ~voter_epoch:watermark
+              | None -> ());
+              topo_wake lv
+          | _ -> ())
+      | Join_ack _ | Coord _ ->
+          (* A join acknowledgment, or the winner's commit announcement:
+             the swap itself already happened at the shared snapshot —
+             this packet makes the result observable on the wire and
+             wakes anyone parked on it. *)
+          topo_wake lv)
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Collective control plane. The Collectives layer (see collectives.ml)
@@ -978,12 +1037,7 @@ let set_on_col t f = t.on_col <- f
 let set_on_health_change t f = t.on_health_change <- f
 
 let handle_col t ~me header payload =
-  let alive =
-    match t.rel with
-    | Some r -> Simnet.Faults.node_up r.faults me
-    | None -> true
-  in
-  if alive then t.on_col ~me ~origin:header.Generic_tm.origin payload
+  if node_up t me then t.on_col ~me ~origin:header.Generic_tm.origin payload
 
 (* Physical neighbours: the ranks sharing at least one channel with
    [rank], in channel-list then member-list order. The Collectives
@@ -1012,22 +1066,17 @@ let neighbours t rank =
    routed path like any transit packet. *)
 let ship_join_req t lv ~rank =
   let dst = lv.lv_coordinator in
-  let down _viewer n =
-    match t.rel with
-    | Some r -> not (Simnet.Faults.node_up r.faults n)
-    | None -> false
-  in
+  let down _viewer n = not (node_up t n) in
   let phys = compute_routes ~down t.channels t.all_ranks in
   match Hashtbl.find_opt phys (rank, dst) with
   | Some (hop :: _) -> (
       let payload =
-        top_payload ~op:top_join_req ~rank
-          ~epoch:(Topology.epoch lv.lv_snapshot)
+        Generic_tm.encode_topology
+          (Join_req { rank; epoch = Topology.epoch lv.lv_snapshot })
       in
-      let header =
-        Generic_tm.make_header ~src:rank ~dst ~len:top_payload_size Topology
-      in
-      try pack_hop ~at:rank hop ~header ~payload ~payload_len:top_payload_size
+      let payload_len = Bytes.length payload in
+      let header = Generic_tm.make_header ~src:rank ~dst ~len:payload_len Topology in
+      try pack_hop ~at:rank hop ~header ~payload ~payload_len
       with Config.Peer_unreachable msg -> raise (Partitioned msg))
   | Some [] | None ->
       raise
@@ -1040,13 +1089,25 @@ let ship_join_req t lv ~rank =
    caller sees a failed send. *)
 let ship_drain_req t lv ~rank =
   let payload =
-    top_payload ~op:top_drain_req ~rank ~epoch:(Topology.epoch lv.lv_snapshot)
+    Generic_tm.encode_topology
+      (Drain_req { rank; epoch = Topology.epoch lv.lv_snapshot })
   in
+  let payload_len = Bytes.length payload in
   let header =
-    Generic_tm.make_header ~src:rank ~dst:lv.lv_coordinator
-      ~len:top_payload_size Topology
+    Generic_tm.make_header ~src:rank ~dst:lv.lv_coordinator ~len:payload_len
+      Topology
   in
-  ship_packet t ~at:rank ~header ~payload ~payload_len:top_payload_size
+  ship_packet t ~at:rank ~header ~payload ~payload_len
+
+type attempt = Settled | Unsent of exn | Unanswered
+
+(* The one membership attempt of [join], [drain] and the post-heal
+   replay: ship the request toward the coordinator, then wait
+   (patience-bounded) for the epoch swap that settles it. *)
+let attempt t lv ~ship ~settled =
+  match ship () with
+  | exception ((Partitioned _ | Config.Peer_unreachable _) as e) -> Unsent e
+  | () -> if topo_wait t lv ~until:settled then Settled else Unanswered
 
 (* ------------------------------------------------------------------ *)
 (* Quorum elections. A candidacy is one epoch-numbered round: term =
@@ -1062,6 +1123,10 @@ let ship_drain_req t lv ~rank =
 let elect_candidate t lv ~viewer =
   match side_members t lv ~viewer with c :: _ -> Some c | [] -> None
 
+(* The lowest live member, for a stand no member observed: a crashed
+   coordinator, or a join from an outsider whose trust view is empty. *)
+let lowest_live t lv = List.find_opt (node_up t) (Topology.ranks lv.lv_snapshot)
+
 let run_election t lv el ~candidate =
   match t.rel with
   | None -> ()
@@ -1075,7 +1140,6 @@ let run_election t lv el ~candidate =
         el.el_attempts <- el.el_attempts + 1;
         let started = Engine.now t.engine in
         let term = Topology.epoch lv.lv_snapshot + 1 in
-        el.el_term <- max el.el_term term;
         let committed = Topology.epoch lv.lv_snapshot in
         (match Hashtbl.find_opt r.sentinels candidate with
         | None -> el.el_refusals <- el.el_refusals + 1
@@ -1085,11 +1149,15 @@ let run_election t lv el ~candidate =
                 ~voter_epoch:(Simnet.Faults.epoch r.faults candidate);
             List.iter
               (fun peer ->
-                if peer <> candidate && Simnet.Faults.node_up r.faults peer
-                then
-                  send_top_ext t ~src:candidate ~dst:peer ~op:top_vote_req
-                    ~rank:candidate ~term ~committed
-                    ~watermark:(journal_watermark t candidate))
+                if peer <> candidate && node_up t peer then
+                  send_top t ~src:candidate ~dst:peer
+                    (Vote_req
+                       {
+                         rank = candidate;
+                         term;
+                         committed;
+                         watermark = journal_watermark t candidate;
+                       }))
               (Topology.ranks lv.lv_snapshot);
             let quorum_now () =
               List.length (Sentinel.ballots s ~term) >= quorum_needed lv el
@@ -1109,10 +1177,14 @@ let run_election t lv el ~candidate =
               List.iter
                 (fun peer ->
                   if peer <> candidate then
-                    send_top_ext t ~src:candidate ~dst:peer ~op:top_coord
-                      ~rank:candidate ~term
-                      ~committed:(Topology.epoch snap)
-                      ~watermark:(journal_watermark t candidate))
+                    send_top t ~src:candidate ~dst:peer
+                      (Coord
+                         {
+                           rank = candidate;
+                           term;
+                           committed = Topology.epoch snap;
+                           watermark = journal_watermark t candidate;
+                         }))
                 (Topology.ranks lv.lv_snapshot)
             end
             else if not won then el.el_refusals <- el.el_refusals + 1);
@@ -1132,18 +1204,23 @@ let replay_pending t lv el =
   el.el_pending <- [];
   List.iter
     (fun intent ->
+      (* Two tries; a request that could not even be shipped still waits
+         out its patience for the swap. *)
+      let replay ~ship ~settled =
+        let once () =
+          match attempt t lv ~ship ~settled with
+          | Settled -> true
+          | Unanswered -> false
+          | Unsent _ -> topo_wait t lv ~until:settled
+        in
+        if not (once () || once ()) then el.el_pending <- intent :: el.el_pending
+      in
       match intent with
       | P_join rank ->
-          if not (Topology.mem lv.lv_snapshot rank) then begin
-            let attempt () =
-              (try ship_join_req t lv ~rank
-               with Partitioned _ | Config.Peer_unreachable _ -> ());
-              topo_wait t lv ~until:(fun () ->
-                  Topology.mem lv.lv_snapshot rank)
-            in
-            if not (attempt () || attempt ()) then
-              el.el_pending <- P_join rank :: el.el_pending
-          end
+          if not (Topology.mem lv.lv_snapshot rank) then
+            replay
+              ~ship:(fun () -> ship_join_req t lv ~rank)
+              ~settled:(fun () -> Topology.mem lv.lv_snapshot rank)
       | P_drain rank ->
           if
             Topology.mem lv.lv_snapshot rank && rank <> lv.lv_coordinator
@@ -1151,21 +1228,37 @@ let replay_pending t lv el =
             (* The routed drain notification needs the trust paths back
                first: suspicion drains via Up probes shortly after the
                heal, so wait for the rank-to-coordinator route before
-               shipping (patience-bounded; a failed ship is retried
-               once, then the intent goes back on the pending list). *)
+               shipping. *)
             ignore
               (topo_wait t lv ~until:(fun () ->
                    Hashtbl.mem t.routes (rank, lv.lv_coordinator)));
-            let attempt () =
-              (try ship_drain_req t lv ~rank
-               with Partitioned _ | Config.Peer_unreachable _ -> ());
-              topo_wait t lv ~until:(fun () ->
-                  not (Topology.mem lv.lv_snapshot rank))
-            in
-            if not (attempt () || attempt ()) then
-              el.el_pending <- P_drain rank :: el.el_pending
+            replay
+              ~ship:(fun () -> ship_drain_req t lv ~rank)
+              ~settled:(fun () -> not (Topology.mem lv.lv_snapshot rank))
           end)
     pend
+
+(* The election plane's part in [join] and [drain]: a request one
+   attempt could not settle stands [candidate ()] for the coordinator
+   seat and, if [retry ()], tries once more; a request still unsettled
+   parks [intent] for the post-heal replay. Returns whether the request
+   settled. *)
+let settle_by_election t lv el ~ship ~settled ~candidate
+    ?(retry = fun () -> true) intent =
+  let settles () =
+    (match attempt t lv ~ship ~settled with
+    | Settled -> true
+    | Unsent _ | Unanswered -> false)
+    || settled ()
+  in
+  settles ()
+  || begin
+       Option.iter (fun candidate -> run_election t lv el ~candidate)
+         (candidate ());
+       let ok = (not (retry ())) || settles () in
+       if not ok then el.el_pending <- intent :: el.el_pending;
+       ok
+     end
 
 (* Hand one message fragment of [origin]'s [flow] to its assembler. *)
 let accept_frame t ~me ~origin ~flow ~first ~last chunk =
@@ -1203,7 +1296,7 @@ let accept_aggregate t ~me ~origin payload =
 let deliver_local t ~me header accept =
   match t.rel with
   | None -> accept ()
-  | Some r when not (Simnet.Faults.node_up r.faults me) -> ()
+  | Some _ when not (node_up t me) -> ()
   | Some r ->
       touch_sentinel t ~rank:me;
       let expected = flow_ref r.rx_next (me, header.Generic_tm.origin) in
@@ -1221,11 +1314,7 @@ let gw_busy_ref t node = memo t.gw_busy node (fun () -> ref 0)
 let pump_pp t node = memo t.pump_depth node pp_make
 
 let bump_overload_gen t node =
-  let gen =
-    match Hashtbl.find_opt t.overload_gen node with
-    | Some g -> g + 1
-    | None -> 1
-  in
+  let gen = count t.overload_gen node + 1 in
   Hashtbl.replace t.overload_gen node gen;
   gen
 
@@ -1248,17 +1337,11 @@ let scale_out t node =
   match t.live with
   | None -> ()
   | Some lv ->
-      let cur =
-        match Hashtbl.find_opt lv.lv_extra node with Some n -> n | None -> 0
-      in
+      let cur = count lv.lv_extra node in
       if cur < t.gw_pool then begin
         Hashtbl.replace lv.lv_extra node (cur + 1);
-        let peak =
-          match Hashtbl.find_opt lv.lv_extra_peak node with
-          | Some n -> n
-          | None -> 0
-        in
-        if cur + 1 > peak then Hashtbl.replace lv.lv_extra_peak node (cur + 1);
+        if cur + 1 > count lv.lv_extra_peak node then
+          Hashtbl.replace lv.lv_extra_peak node (cur + 1);
         lv.lv_scale_outs <- lv.lv_scale_outs + 1;
         Hashtbl.iter
           (fun (n, _, _) p ->
@@ -1270,9 +1353,9 @@ let scale_in t node =
   match t.live with
   | None -> ()
   | Some lv -> (
-      match Hashtbl.find_opt lv.lv_extra node with
-      | None | Some 0 -> ()
-      | Some cur ->
+      match count lv.lv_extra node with
+      | 0 -> ()
+      | cur ->
           Hashtbl.replace lv.lv_extra node 0;
           lv.lv_scale_ins <- lv.lv_scale_ins + 1;
           Hashtbl.iter
@@ -1287,21 +1370,15 @@ let scale_in t node =
             t.pumps)
 
 let set_overload t node flag =
-  if flag then begin
-    if not (Hashtbl.mem t.overloaded node) then begin
+  if flag <> Hashtbl.mem t.overloaded node then begin
+    if flag then begin
       Hashtbl.replace t.overloaded node ();
-      t.overload_events <- t.overload_events + 1;
-      inform_sentinels t node true;
-      scale_out t node;
-      t.on_overload_change ();
-      t.on_health_change ()
+      t.overload_events <- t.overload_events + 1
     end
-  end
-  else if Hashtbl.mem t.overloaded node then begin
-    Hashtbl.remove t.overloaded node;
-    inform_sentinels t node false;
-    scale_in t node;
-    t.on_overload_change ();
+    else Hashtbl.remove t.overloaded node;
+    inform_sentinels t node flag;
+    if flag then scale_out t node else scale_in t node;
+    reconverge t ~membership:false;
     t.on_health_change ()
   end
 
@@ -1363,15 +1440,12 @@ let rec pump_for t ~node (hop : hop) =
       Hashtbl.add t.pumps key p;
       (* A pump created while its node is scaled out starts with the
          extra slots its siblings already received. *)
-      (match t.live with
-      | Some lv -> (
-          match Hashtbl.find_opt lv.lv_extra node with
-          | Some extra ->
-              for _ = 1 to extra do
-                Semaphore.release p.pump_buffers
-              done
-          | None -> ())
-      | None -> ());
+      Option.iter
+        (fun lv ->
+          for _ = 1 to count lv.lv_extra node do
+            Semaphore.release p.pump_buffers
+          done)
+        t.live;
       spawn_forwarder t ~node p;
       p
 
@@ -1386,19 +1460,14 @@ and spawn_forwarder t ~node p =
            sits between taking the buffer and re-emitting it, where the
            paper's +50 us/step analysis places it (§6.2.2). *)
         Engine.sleep t.gateway_overhead;
-        (match t.rel with
-        | Some r when not (Simnet.Faults.node_up r.faults node) ->
-            (* This gateway crashed with the packet in its pipeline: the
-               in-flight state dies; origins re-emit from their logs. *)
-            ()
-        | Some _ -> (
-            try
-              ship_packet t ~at:node ~header ~payload
-                ~payload_len:(Bytes.length payload)
-            with Partitioned _ -> ())
-        | None ->
-            ship_packet t ~at:node ~header ~payload
-              ~payload_len:(Bytes.length payload));
+        (* A gateway that crashed with the packet in its pipeline drops
+           it: the in-flight state dies; origins re-emit from their
+           logs, so an unroutable packet is dropped too. *)
+        (if node_up t node then
+           try
+             ship_packet t ~at:node ~header ~payload
+               ~payload_len:(Bytes.length payload)
+           with Partitioned _ when t.rel <> None -> ());
         gw_release t ~node p
       done)
 
@@ -1441,7 +1510,7 @@ let spawn_dispatcher t ~node channel =
           | Handshake ->
               Option.iter (fun r -> handle_hs r ~me:node header payload) t.rel
           | Credit { ack } -> handle_crd t ~me:node ~ack header payload
-          | Topology -> handle_top t ~me:node header payload
+          | Topology -> handle_top t ~me:node payload
           | Collective -> handle_col t ~me:node header payload
         end
         else
@@ -1540,14 +1609,11 @@ let wait_unacked t r ~src ~dst q =
   while Queue.length q >= t.unacked_cap do
     if not (Hashtbl.mem t.routes (src, dst)) then wait_route t r ~at:src ~dst;
     if Queue.length q >= t.unacked_cap then begin
-      let deadline = Time.add (Engine.now t.engine) t.patience in
-      Engine.suspend ~name:"vchannel.unacked" (fun wake ->
-          r.ack_waiters <- wake :: r.ack_waiters;
-          Engine.at t.engine deadline wake);
-      if
-        Queue.length q >= t.unacked_cap
-        && not (Simnet.Faults.node_up r.faults dst)
-      then
+      (* Every ack wakes every blocked sender, so each pass parks once
+         with fresh patience. *)
+      park t r.ack_waiters ~name:"vchannel.unacked"
+        ~deadline:(Time.add (Engine.now t.engine) t.patience);
+      if Queue.length q >= t.unacked_cap && not (node_up t dst) then
         raise
           (Partitioned
              (Printf.sprintf
@@ -1643,48 +1709,167 @@ let emit_frames t ~src ~dst frames =
       in
       List.iter (emit_one_aggregate t ~src ~dst) (groups [] [] 0 frames)
 
-(* The lock that serializes emission for a (src, dst) pair: with a
-   scheduler it is the scheduler's pair lock (aggregates are numbered
-   and shipped under it), without one it is the flow-0 message lock —
-   the only flow that exists. Crash re-emission must hold it so
-   re-emitted packets cannot interleave with a packet being emitted. *)
-let emission_lock t ~src ~dst =
-  match t.sched with
-  | Some sc -> Sched.pair_lock sc ~src ~dst
-  | None -> send_lock t ~src ~dst ~flow:0
+(* ------------------------------------------------------------------ *)
+(* Reliability-plane handlers: what each fault-plane and sentinel
+   transition does (the table in docs/MODEL.md, "Failure detection and
+   recovery"). [create] registers them; nothing else calls them. *)
 
-(* After a membership change, re-emit every unacknowledged packet of
-   the affected live flows over the recomputed routes ([only] narrows
-   the set — an epoch swap re-emits just the flows whose route actually
-   changed). One daemon per flow; it takes the flow's message lock so
-   re-emitted packets cannot interleave with (and overtake) a message
-   in progress — the receiver's sequence check would then discard the
-   overtaken packets for good. *)
-let reemit_flows ?(only = fun _ _ -> true) t r =
-  Hashtbl.iter
-    (fun (src, dst) q ->
-      if only src dst && Simnet.Faults.node_up r.faults src
-         && not (Queue.is_empty q)
-      then
-        Engine.spawn t.engine ~daemon:true
-          ~name:(Printf.sprintf "vchannel.reemit.%d->%d" src dst)
-          (fun () ->
-            Mutex.lock (emission_lock t ~src ~dst);
-            let snapshot = List.of_seq (Queue.to_seq q) in
-            (try
-               List.iter
-                 (fun (seq, header, payload) ->
-                   (* Skip packets acked while we waited for the lock. *)
-                   if Queue.fold (fun f (s, _, _) -> f || s = seq) false q
-                   then begin
-                     r.reemitted <- r.reemitted + 1;
-                     ship_packet t ~at:src ~header ~payload
-                       ~payload_len:(Bytes.length payload)
-                   end)
-                 snapshot
-             with Partitioned _ | Config.Peer_unreachable _ -> ());
-            Mutex.unlock (emission_lock t ~src ~dst)))
-    r.unacked
+(* Stand a candidate from a daemon: a handler runs in an engine callback
+   and must not block. *)
+let spawn_election t lv el ~name candidate =
+  Engine.spawn t.engine ~daemon:true ~name (fun () ->
+      Option.iter (fun candidate -> run_election t lv el ~candidate)
+        (candidate ()))
+
+let handle_crash t r node =
+  if List.mem node t.all_ranks then begin
+    r.reroutes <- r.reroutes + 1;
+    (* The crashed node's send-side session state dies with it: cursors
+       and unacked logs are volatile. Its flows stay blocked ([tx_lost])
+       until a peer handshake restores the cursor after restart. Receive
+       journals survive. *)
+    Hashtbl.iter
+      (fun (src, dst) sq ->
+        if src = node then begin
+          sq := 0;
+          Hashtbl.replace r.tx_lost (src, dst) ()
+        end)
+      r.tx_seq;
+    Hashtbl.iter (fun (src, _) q -> if src = node then Queue.clear q) r.unacked;
+    (* Credit counters are volatile send-side state too: both ends of the
+       crashed node's flows restart from zero (the receive side mirrors
+       the wiped cursor — leftover pre-crash bytes still buffered at a
+       peer may transiently over-grant by at most one budget, which the
+       restart window absorbs). *)
+    (match t.credits with
+    | None -> ()
+    | Some c ->
+        Hashtbl.iter
+          (fun (src, _) ctx ->
+            if src = node then begin
+              ctx.ctx_shipped <- 0;
+              ctx.ctx_granted <- 0
+            end)
+          c.cr_tx;
+        Hashtbl.iter
+          (fun (_, origin) crx ->
+            if origin = node then begin
+              crx.crx_consumed <- 0;
+              crx.crx_last_grant <- 0
+            end)
+          c.cr_rx);
+    recompute_routes t;
+    reemit_flows t r;
+    t.on_health_change ();
+    (* A crashed coordinator needs no phi verdict: the fault plane's word
+       is definitive, so stand a candidate at once — the lowest
+       still-live member. *)
+    match (t.elect, t.live) with
+    | Some el, Some lv when node = lv.lv_coordinator -> (
+        topo_wake lv;
+        match lowest_live t lv with
+        | Some candidate ->
+            spawn_election t lv el
+              ~name:(Printf.sprintf "vchannel.elect.crash.%d" candidate)
+              (fun () -> Some candidate)
+        | None -> ())
+    | _ -> ()
+  end
+
+let handle_restart t r node =
+  if List.mem node t.all_ranks then begin
+    (* The restarted rank's pre-crash vote grant is void — the epoch bump
+       announces it to everyone — so it may vote afresh, and any ballots
+       it had collected as a candidate are dead. *)
+    Option.iter Sentinel.reset_election (Hashtbl.find_opt r.sentinels node);
+    recompute_routes t;
+    (* Crash-epoch session handshake: every live peer holding a delivery
+       journal for the restarted origin tells it (over the routed
+       network, so gateways forward it like data) where to resume
+       numbering. *)
+    let epoch = Simnet.Faults.epoch r.faults node in
+    Hashtbl.iter
+      (fun (me, origin) expected ->
+        if origin = node && me <> node && node_up t me then begin
+          let payload = Bytes.create 4 in
+          Bytes.set_int32_le payload 0 (Int32.of_int epoch);
+          send_control t ~name:"hs" ~seq:!expected ~src:me ~dst:node Handshake
+            payload
+        end)
+      r.rx_next;
+    (* Flows to peers holding no journal for this node restart at zero
+       immediately — nobody will send a handshake. *)
+    let fresh =
+      Hashtbl.fold
+        (fun (src, dst) () acc ->
+          if src = node && not (Hashtbl.mem r.rx_next (dst, node)) then
+            (src, dst) :: acc
+          else acc)
+        r.tx_lost []
+    in
+    List.iter (fun key -> Hashtbl.remove r.tx_lost key) fresh;
+    if fresh <> [] then wake_all r.hs_waiters;
+    reemit_flows t r;
+    t.on_health_change ()
+  end
+
+(* Election plane only. Healing restores the wire but not the detectors'
+   opinions: touch every sentinel so activity-gated probing re-arms and
+   suspicion drains organically via Up probes, then replay the
+   minority's suppressed join/drain intents once the coordinator's side
+   holds quorum again. *)
+let handle_heal t r lv el =
+  Hashtbl.iter (fun _ s -> Sentinel.touch s) r.sentinels;
+  topo_wake lv;
+  if el.el_pending <> [] then
+    Engine.spawn t.engine ~daemon:true ~name:"vchannel.heal.replay" (fun () ->
+        if
+          topo_wait t lv ~until:(fun () ->
+              side_has_quorum t lv el ~viewer:lv.lv_coordinator)
+        then replay_pending t lv el)
+
+(* [me]'s sentinel calls the still-live [peer] Down: routes are
+   recomputed around the suspect and in-flight packets re-emitted,
+   before any send times out on it — unless routing already distrusted
+   it (another observer's by-any verdict). *)
+let handle_suspect t r ~me peer =
+  if not (Hashtbl.mem r.suspected (me, peer)) then begin
+    let routing_changes = not (distrusts t ~viewer:me peer) in
+    suspect r ~viewer:me peer;
+    if routing_changes then begin
+      r.reroutes <- r.reroutes + 1;
+      recompute_routes t;
+      reemit_flows t r;
+      t.on_health_change ()
+    end;
+    match (t.elect, t.live) with
+    | Some el, Some lv when peer = lv.lv_coordinator ->
+        (* The coordinator just went dark for [me]: stand the side's
+           lowest reachable member (not necessarily [me] — the observer
+           may not be the side's natural candidate). *)
+        topo_wake lv;
+        spawn_election t lv el
+          ~name:(Printf.sprintf "vchannel.elect.%d" me)
+          (fun () -> elect_candidate t lv ~viewer:me)
+    | Some _, Some lv -> topo_wake lv
+    | _ -> ()
+  end
+
+(* [me]'s sentinel calls [peer] Up again. Without an election plane the
+   first good probe anywhere rehabilitates the peer for everyone. *)
+let handle_trust t r ~me peer =
+  if distrusts t ~viewer:me peer then begin
+    (match t.elect with
+    | Some _ -> trust r ~viewer:me peer
+    | None ->
+        Hashtbl.fold
+          (fun (o, p) () acc -> if p = peer then o :: acc else acc)
+          r.suspected []
+        |> List.iter (fun o -> trust r ~viewer:o peer));
+    recompute_routes t;
+    t.on_health_change ();
+    if t.elect <> None then Option.iter topo_wake t.live
+  end
 
 let create session ?(mtu = Config.default_vchannel_mtu)
     ?(patience = Config.default_route_patience)
@@ -1729,11 +1914,8 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   let live_plane =
     match topology with
     | None ->
-        (match coordinator with
-        | Some _ ->
-            invalid_arg
-              "Vchannel.create: coordinator without a topology version"
-        | None -> ());
+        if coordinator <> None then
+          invalid_arg "Vchannel.create: coordinator without a topology version";
         None
     | Some version ->
         if version < 0 then
@@ -1760,40 +1942,23 @@ let create session ?(mtu = Config.default_vchannel_mtu)
             lv_drains = 0;
             lv_scale_outs = 0;
             lv_scale_ins = 0;
-            lv_waiters = [];
+            lv_waiters = ref [];
           }
-  in
-  (* Non-members of the current epoch are excluded from routing exactly
-     like crashed nodes: never a relay, never an endpoint. With no live
-     topology every physical rank is a member and the predicate reduces
-     to the crash/suspicion test — routes (and the schedule) are
-     byte-identical to a fixed-topology vchannel. *)
-  let member n =
-    match live_plane with
-    | None -> true
-    | Some lv -> Topology.mem lv.lv_snapshot n
   in
   (* Election wants the whole stack under it: a topology to elect over
      and a fault plane (sentinels carry both the suspicion verdicts the
      candidacy triggers ride and the ballot registries). *)
   let elect_plane =
     if not election then begin
-      (match topo_quorum with
-      | Some _ ->
-          invalid_arg "Vchannel.create: topo_quorum requires election"
-      | None -> ());
+      if topo_quorum <> None then
+        invalid_arg "Vchannel.create: topo_quorum requires election";
       None
     end
     else begin
-      (match live_plane with
-      | None ->
-          invalid_arg
-            "Vchannel.create: election requires a topology version"
-      | Some _ -> ());
-      (match faults with
-      | None ->
-          invalid_arg "Vchannel.create: election requires a fault plane"
-      | Some _ -> ());
+      if live_plane = None then
+        invalid_arg "Vchannel.create: election requires a topology version";
+      if faults = None then
+        invalid_arg "Vchannel.create: election requires a fault plane";
       let n = List.length all_ranks in
       (match topo_quorum with
       | Some q when q < 1 || q > n ->
@@ -1803,7 +1968,6 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       Some
         {
           el_quorum = topo_quorum;
-          el_term = 0;
           el_elections = 0;
           el_attempts = 0;
           el_refusals = 0;
@@ -1828,9 +1992,9 @@ let create session ?(mtu = Config.default_vchannel_mtu)
             sentinels = Hashtbl.create 8;
             suspected = Hashtbl.create 8;
             susp_count = Hashtbl.create 8;
-            route_waiters = [];
-            hs_waiters = [];
-            ack_waiters = [];
+            route_waiters = ref [];
+            hs_waiters = ref [];
+            ack_waiters = ref [];
             reroutes = 0;
             reemitted = 0;
             dup_drops = 0;
@@ -1858,32 +2022,6 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   let pool =
     match gw_pool with Some p -> p | None -> Config.default_gateway_pool
   in
-  let election_on = match elect_plane with Some _ -> true | None -> false in
-  let down =
-    match rel with
-    | None -> fun _viewer n -> not (member n)
-    | Some r ->
-        if election_on then
-          (* Viewer-relative suspicion: the hop viewer -> n exists only
-             when the viewer's own sentinel trusts n. Under a symmetric
-             partition each side keeps full routes within itself instead
-             of everyone going dark because somebody somewhere suspects
-             them. *)
-          fun viewer n ->
-            (not (member n))
-            || (not (Simnet.Faults.node_up r.faults n))
-            || (viewer <> n && Hashtbl.mem r.suspected (viewer, n))
-        else
-          fun _viewer n ->
-            (not (member n))
-            || (not (Simnet.Faults.node_up r.faults n))
-            || Hashtbl.mem r.susp_count n
-  in
-  let routes = compute_routes ~down channels all_ranks in
-  let base_hops = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun key hops -> Hashtbl.replace base_hops key (List.length hops))
-    routes;
   let t =
     {
       engine = Session.engine session;
@@ -1896,8 +2034,8 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       next_ingress_slot = Hashtbl.create 16;
       channels;
       all_ranks;
-      routes;
-      base_hops;
+      routes = Hashtbl.create 0;
+      base_hops = Hashtbl.create 64;
       rel;
       sched = None;
       assemblers = Hashtbl.create 32;
@@ -1918,10 +2056,8 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       gw_busy = Hashtbl.create 4;
       overload_gen = Hashtbl.create 4;
       overload_events = 0;
-      on_overload_change = (fun () -> ());
       live = live_plane;
       elect = elect_plane;
-      on_topo_change = (fun () -> ());
       on_col = (fun ~me:_ ~origin:_ _ -> ());
       on_health_change = (fun () -> ());
       asm_depth = Hashtbl.create 32;
@@ -1933,11 +2069,10 @@ let create session ?(mtu = Config.default_vchannel_mtu)
         | None -> Config.default_unacked_window);
     }
   in
-  (* Epoch swaps recompute routes even without a reliability plane;
-     with one, the rel section below upgrades this to the selective
-     re-emission path. *)
-  t.on_topo_change <-
-    (fun () -> t.routes <- compute_routes ~down channels all_ranks);
+  t.routes <- compute_routes ~down:(down t) channels all_ranks;
+  Hashtbl.iter
+    (fun key hops -> Hashtbl.replace t.base_hops key (List.length hops))
+    t.routes;
   List.iter
     (fun node ->
       Hashtbl.add t.next_ingress_slot node (ref Time.zero);
@@ -1950,200 +2085,19 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   | None -> ()
   | Some r ->
       List.iter Channel.relax_checked channels;
-      let recompute () =
-        let fresh = compute_routes ~down channels all_ranks in
-        (* Prefer routes that avoid Overloaded gateways — shifting
-           traffic onto an alternate gateway when one exists — but never
-           at the price of reachability: pairs only connected through an
-           overloaded node keep their direct route. *)
-        if Hashtbl.length t.overloaded > 0 then begin
-          let down_or_overloaded u n = down u n || Hashtbl.mem t.overloaded n in
-          let strict =
-            compute_routes ~down:down_or_overloaded channels all_ranks
-          in
-          Hashtbl.iter (fun key hops -> Hashtbl.replace fresh key hops) strict
-        end;
-        t.routes <- fresh;
-        let waiters = r.route_waiters in
-        r.route_waiters <- [];
-        List.iter (fun wake -> wake ()) waiters
-      in
-      (* An Overloaded transition recomputes route preferences; packets
-         are re-emitted ONLY if some route actually changed (switching
-         routes mid-flow can strand packets the destination's sequence
-         check discarded as overtakers). When no alternate gateway
-         exists the routes are unchanged and nothing is re-emitted —
-         re-emitting into an already-overloaded path would feed the
-         congestion it is reporting. *)
-      let route_sig routes =
-        Hashtbl.fold
-          (fun key hops acc ->
-            ( key,
-              List.map (fun h -> (Channel.id h.hop_channel, h.hop_to)) hops )
-            :: acc)
-          routes []
-        |> List.sort compare
-      in
-      let swap_routes () =
-        let before = route_sig t.routes in
-        recompute ();
-        let after = route_sig t.routes in
-        if after <> before then
-          reemit_flows t r ~only:(fun src dst ->
-              List.assoc_opt (src, dst) before
-              <> List.assoc_opt (src, dst) after)
-      in
-      t.on_overload_change <- swap_routes;
-      (* A topology epoch swap is the same move as an overload
-         transition: recompute route preferences, then re-emit only the
-         flows whose routes actually changed — under each flow's
-         emission lock, so re-emitted packets never interleave with a
-         message (or aggregate) in progress. *)
-      t.on_topo_change <- swap_routes;
-      Simnet.Faults.on_crash r.faults (fun node ->
-          if List.mem node t.all_ranks then begin
-            r.reroutes <- r.reroutes + 1;
-            (* The crashed node's send-side session state dies with it:
-               cursors and unacked logs are volatile. Its flows stay
-               blocked ([tx_lost]) until a peer handshake restores the
-               cursor after restart. Receive journals survive. *)
-            Hashtbl.iter
-              (fun (src, dst) sq ->
-                if src = node then begin
-                  sq := 0;
-                  Hashtbl.replace r.tx_lost (src, dst) ()
-                end)
-              r.tx_seq;
-            Hashtbl.iter
-              (fun (src, _) q -> if src = node then Queue.clear q)
-              r.unacked;
-            (* Credit counters are volatile send-side state too: both
-               ends of the crashed node's flows restart from zero (the
-               receive side mirrors the wiped cursor — leftover pre-crash
-               bytes still buffered at a peer may transiently over-grant
-               by at most one budget, which the restart window absorbs). *)
-            (match t.credits with
-            | None -> ()
-            | Some c ->
-                Hashtbl.iter
-                  (fun (src, _) ctx ->
-                    if src = node then begin
-                      ctx.ctx_shipped <- 0;
-                      ctx.ctx_granted <- 0
-                    end)
-                  c.cr_tx;
-                Hashtbl.iter
-                  (fun (_, origin) crx ->
-                    if origin = node then begin
-                      crx.crx_consumed <- 0;
-                      crx.crx_last_grant <- 0
-                    end)
-                  c.cr_rx);
-            recompute ();
-            reemit_flows t r;
-            t.on_health_change ();
-            (* A crashed coordinator needs no phi verdict: the fault
-               plane's word is definitive, so stand a candidate at
-               once — the lowest still-live member. *)
-            match (t.elect, t.live) with
-            | Some el, Some lv when node = lv.lv_coordinator -> (
-                topo_wake lv;
-                match
-                  List.find_opt
-                    (fun m -> Simnet.Faults.node_up r.faults m)
-                    (Topology.ranks lv.lv_snapshot)
-                with
-                | Some candidate ->
-                    Engine.spawn t.engine ~daemon:true
-                      ~name:
-                        (Printf.sprintf "vchannel.elect.crash.%d" candidate)
-                      (fun () -> run_election t lv el ~candidate)
-                | None -> ())
-            | _ -> ()
-          end);
-      Simnet.Faults.on_restart r.faults (fun node ->
-          if List.mem node t.all_ranks then begin
-            (* The restarted rank's pre-crash vote grant is void — the
-               epoch bump announces it to everyone — so it may vote
-               afresh, and any ballots it had collected as a candidate
-               are dead. *)
-            (match Hashtbl.find_opt r.sentinels node with
-            | Some s -> Sentinel.reset_election s
-            | None -> ());
-            recompute ();
-            (* Crash-epoch session handshake: every live peer holding a
-               delivery journal for the restarted origin tells it (over
-               the routed network, so gateways forward it like data)
-               where to resume numbering. *)
-            let epoch = Simnet.Faults.epoch r.faults node in
-            Hashtbl.iter
-              (fun (me, origin) expected ->
-                if
-                  origin = node && me <> node
-                  && Simnet.Faults.node_up r.faults me
-                then begin
-                  let payload = Bytes.create 4 in
-                  Bytes.set_int32_le payload 0 (Int32.of_int epoch);
-                  send_control t ~name:"hs" ~seq:!expected ~src:me ~dst:node
-                    Handshake payload
-                end)
-              r.rx_next;
-            (* Flows to peers holding no journal for this node restart
-               at zero immediately — nobody will send a handshake. *)
-            let fresh =
-              Hashtbl.fold
-                (fun (src, dst) () acc ->
-                  if src = node && not (Hashtbl.mem r.rx_next (dst, node))
-                  then (src, dst) :: acc
-                  else acc)
-                r.tx_lost []
-            in
-            List.iter (fun key -> Hashtbl.remove r.tx_lost key) fresh;
-            if fresh <> [] then begin
-              let waiters = r.hs_waiters in
-              r.hs_waiters <- [];
-              List.iter (fun wake -> wake ()) waiters
-            end;
-            reemit_flows t r;
-            t.on_health_change ()
-          end);
+      Simnet.Faults.on_crash r.faults (handle_crash t r);
+      Simnet.Faults.on_restart r.faults (handle_restart t r);
       (match (t.elect, t.live) with
       | Some el, Some lv ->
-          Simnet.Faults.on_heal r.faults (fun _fabric ->
-              (* Healing restores the wire but not the detectors'
-                 opinions: touch every sentinel so activity-gated
-                 probing re-arms and suspicion drains organically via
-                 Up probes, then replay the minority's suppressed
-                 join/drain intents once the coordinator's side holds
-                 quorum again. *)
-              Hashtbl.iter (fun _ s -> Sentinel.touch s) r.sentinels;
-              topo_wake lv;
-              if el.el_pending <> [] then
-                Engine.spawn t.engine ~daemon:true
-                  ~name:"vchannel.heal.replay" (fun () ->
-                    if
-                      topo_wait t lv ~until:(fun () ->
-                          side_has_quorum t lv el ~viewer:lv.lv_coordinator)
-                    then replay_pending t lv el))
+          Simnet.Faults.on_heal r.faults (fun _fabric -> handle_heal t r lv el)
       | _ -> ());
       (* One phi-accrual sentinel per rank, probing its channel
-         neighbours. A sentinel calling a still-live peer Down is a
-         suspicion: routes are recomputed around the suspect and
-         in-flight packets re-emitted, before any send times out on it.
-         Crashes are already handled by the hooks above, so transitions
-         on actually-crashed peers change nothing here. *)
+         neighbours. Crashes are handled by [handle_crash], so Down on an
+         actually-crashed peer changes nothing here. *)
       List.iter
         (fun me ->
           let neighbours =
-            List.filter
-              (fun p ->
-                p <> me
-                && List.exists
-                     (fun c ->
-                       List.mem me (Channel.ranks c)
-                       && List.mem p (Channel.ranks c))
-                     channels)
-              all_ranks
+            List.filter (fun p -> p <> me && shares_channel t me p) all_ranks
           in
           if neighbours <> [] then begin
             let fabric =
@@ -2157,71 +2111,10 @@ let create session ?(mtu = Config.default_vchannel_mtu)
               Sentinel.create t.engine r.faults ~me ~peers:neighbours ?fabric
                 ()
             in
-            Sentinel.on_transition s (fun peer _from to_ ->
-                match to_ with
-                | Sentinel.Down when Simnet.Faults.node_up r.faults peer ->
-                    if not (Hashtbl.mem r.suspected (me, peer)) then begin
-                      (* With election off the first observer acts for
-                         everyone (the by-any view is what routing sees,
-                         so later observers change nothing); with it on,
-                         every observer's own view shifts, so each one
-                         recomputes. *)
-                      let was = Hashtbl.mem r.susp_count peer in
-                      Hashtbl.replace r.suspected (me, peer) ();
-                      Hashtbl.replace r.susp_count peer
-                        (1
-                        + Option.value ~default:0
-                            (Hashtbl.find_opt r.susp_count peer));
-                      if election_on || not was then begin
-                        r.reroutes <- r.reroutes + 1;
-                        recompute ();
-                        reemit_flows t r;
-                        t.on_health_change ()
-                      end;
-                      match (t.elect, t.live) with
-                      | Some el, Some lv when peer = lv.lv_coordinator ->
-                          (* The coordinator just went dark for [me]:
-                             stand the side's lowest reachable member
-                             (not necessarily [me] — the observer may
-                             not be the side's natural candidate). *)
-                          topo_wake lv;
-                          Engine.spawn t.engine ~daemon:true
-                            ~name:(Printf.sprintf "vchannel.elect.%d" me)
-                            (fun () ->
-                              match elect_candidate t lv ~viewer:me with
-                              | Some candidate ->
-                                  run_election t lv el ~candidate
-                              | None -> ())
-                      | Some _, Some lv -> topo_wake lv
-                      | _ -> ()
-                    end
-                | Sentinel.Up ->
-                    if election_on then begin
-                      if Hashtbl.mem r.suspected (me, peer) then begin
-                        Hashtbl.remove r.suspected (me, peer);
-                        (match Hashtbl.find_opt r.susp_count peer with
-                        | Some n when n <= 1 -> Hashtbl.remove r.susp_count peer
-                        | Some n -> Hashtbl.replace r.susp_count peer (n - 1)
-                        | None -> ());
-                        recompute ();
-                        t.on_health_change ();
-                        match t.live with
-                        | Some lv -> topo_wake lv
-                        | None -> ()
-                      end
-                    end
-                    else if Hashtbl.mem r.susp_count peer then begin
-                      (* By-any semantics: the first good probe anywhere
-                         rehabilitates the peer for everyone. *)
-                      Hashtbl.iter
-                        (fun (o, p) () ->
-                          if p = peer then Hashtbl.remove r.suspected (o, p))
-                        (Hashtbl.copy r.suspected);
-                      Hashtbl.remove r.susp_count peer;
-                      recompute ();
-                      t.on_health_change ()
-                    end
-                | _ -> ());
+            Sentinel.on_transition s (fun peer _from -> function
+              | Sentinel.Down when node_up t peer -> handle_suspect t r ~me peer
+              | Sentinel.Up -> handle_trust t r ~me peer
+              | Sentinel.Down | Sentinel.Degraded | Sentinel.Overloaded -> ());
             Sentinel.start s;
             Hashtbl.add r.sentinels me s
           end)
@@ -2401,25 +2294,11 @@ let end_packing oc =
   oc.v.staging_free <- oc.staging :: oc.v.staging_free;
   Mutex.unlock (send_lock oc.v ~src:oc.oc_src ~dst:oc.oc_dst ~flow:oc.oc_flow)
 
-(* Barrier flush: push every aggregate still buffered at [me] to the
-   wire now, instead of waiting for budgets or deadlines — the hook for
-   synchronization points (a collective's last message, an engine
-   drain). No-op without an aggregating scheduler. *)
-let flush t ~me =
-  match t.sched with None -> () | Some sc -> Sched.flush_all sc ~src:me
-
 (* ------------------------------------------------------------------ *)
 (* Live topology: the public membership verbs *)
 
 let topology t =
   match t.live with Some lv -> Some lv.lv_snapshot | None -> None
-
-let draining t =
-  match t.live with
-  | None -> []
-  | Some lv ->
-      Hashtbl.fold (fun r () acc -> r :: acc) lv.lv_draining []
-      |> List.sort compare
 
 let join t ~rank =
   match t.live with
@@ -2432,59 +2311,38 @@ let join t ~rank =
       if Topology.mem lv.lv_snapshot rank then
         invalid_arg
           (Printf.sprintf "Vchannel.join: rank %d is already a member" rank);
-      (match t.rel with
-      | Some r when not (Simnet.Faults.node_up r.faults rank) ->
-          raise
-            (Partitioned
-               (Printf.sprintf "Vchannel.join: rank %d is down" rank))
-      | _ -> ());
-      let admitted () = Topology.mem lv.lv_snapshot rank in
+      if not (node_up t rank) then
+        raise
+          (Partitioned (Printf.sprintf "Vchannel.join: rank %d is down" rank));
+      let ship () = ship_join_req t lv ~rank in
+      let settled () = Topology.mem lv.lv_snapshot rank in
       (match t.elect with
-      | None ->
-          ship_join_req t lv ~rank;
-          if not (topo_wait t lv ~until:admitted) then
-            raise
-              (Partitioned
-                 (Printf.sprintf
-                    "Vchannel.join: coordinator %d did not admit rank %d \
-                     within patience"
-                    lv.lv_coordinator rank))
-      | Some el ->
-          (* Transparently re-targeted join: if the coordinator does not
-             answer, stand a replacement and retry against whoever holds
-             the (possibly new) post-election coordinator seat. A joiner
-             that still cannot get through is on a minority side — park
-             the intent for post-heal replay and surface a typed error. *)
-          let attempt () =
-            (try
-               ship_join_req t lv ~rank;
-               true
-             with Partitioned _ | Config.Peer_unreachable _ -> false)
-            && topo_wait t lv ~until:admitted
-          in
-          if not (attempt ()) && not (admitted ()) then begin
-            (match t.rel with
-            | Some r -> (
-                (* The joiner is an outsider: its trust view is empty,
-                   so stand the lowest live member instead. *)
-                match
-                  List.find_opt
-                    (fun m -> Simnet.Faults.node_up r.faults m)
-                    (Topology.ranks lv.lv_snapshot)
-                with
-                | Some candidate -> run_election t lv el ~candidate
-                | None -> ())
-            | None -> ());
-            if not (attempt ()) && not (admitted ()) then begin
-              el.el_pending <- P_join rank :: el.el_pending;
+      | None -> (
+          match attempt t lv ~ship ~settled with
+          | Settled -> ()
+          | Unsent e -> raise e
+          | Unanswered ->
               raise
-                (No_quorum
+                (Partitioned
                    (Printf.sprintf
-                      "Vchannel.join: no quorum reachable to admit rank %d \
-                       (intent parked for post-heal replay)"
-                      rank))
-            end
-          end);
+                      "Vchannel.join: coordinator %d did not admit rank %d \
+                       within patience"
+                      lv.lv_coordinator rank)))
+      | Some el ->
+          (* Transparently re-targeted join: retry against whoever holds
+             the (possibly new) post-election coordinator seat. *)
+          if
+            not
+              (settle_by_election t lv el ~ship ~settled
+                 ~candidate:(fun () -> lowest_live t lv)
+                 (P_join rank))
+          then
+            raise
+              (No_quorum
+                 (Printf.sprintf
+                    "Vchannel.join: no quorum reachable to admit rank %d \
+                     (intent parked for post-heal replay)"
+                    rank)));
       Topology.epoch lv.lv_snapshot
 
 let drain t ~rank =
@@ -2532,58 +2390,47 @@ let drain t ~rank =
       end;
       (* Phase 3 — tell the coordinator; it swaps the epoch, forgets the
          rank in every sentinel, and the recomputed routes drop it. *)
-      let departed () = not (Topology.mem lv.lv_snapshot rank) in
-      (match t.elect with
-      | None ->
-          (try ship_drain_req t lv ~rank
-           with Partitioned _ | Config.Peer_unreachable _ ->
-             Hashtbl.remove lv.lv_draining rank;
-             raise
-               (Partitioned
-                  (Printf.sprintf "Vchannel.drain: coordinator %d unreachable"
-                     lv.lv_coordinator)));
-          if not (topo_wait t lv ~until:departed) then begin
-            Hashtbl.remove lv.lv_draining rank;
-            raise
-              (Partitioned
-                 (Printf.sprintf
-                    "Vchannel.drain: coordinator %d did not confirm the \
-                     departure of rank %d within patience"
-                    lv.lv_coordinator rank))
-          end
-      | Some el ->
-          let attempt () =
-            (try
-               ship_drain_req t lv ~rank;
-               true
-             with Partitioned _ | Config.Peer_unreachable _ -> false)
-            && topo_wait t lv ~until:departed
-          in
-          if not (attempt ()) && not (departed ()) then begin
-            (* A rank on its way out must not stand itself: pick the
-               side's lowest member other than the drainer. *)
-            (match
-               List.filter (fun m -> m <> rank) (side_members t lv ~viewer:rank)
-             with
-            | candidate :: _ -> run_election t lv el ~candidate
-            | [] -> ());
-            if
-              (rank <> lv.lv_coordinator && not (attempt ()))
-              && not (departed ())
-            then begin
-              (* Minority side: withdraw the drain mark (the rank stays
-                 a member until the majority hears about it) and park
-                 the intent for the post-heal replay. *)
-              Hashtbl.remove lv.lv_draining rank;
-              el.el_pending <- P_drain rank :: el.el_pending;
-              raise
-                (No_quorum
+      let abort e =
+        Hashtbl.remove lv.lv_draining rank;
+        raise e
+      in
+      let ship () = ship_drain_req t lv ~rank in
+      let settled () = not (Topology.mem lv.lv_snapshot rank) in
+      match t.elect with
+      | None -> (
+          match attempt t lv ~ship ~settled with
+          | Settled -> ()
+          | Unsent _ ->
+              abort
+                (Partitioned
+                   (Printf.sprintf "Vchannel.drain: coordinator %d unreachable"
+                      lv.lv_coordinator))
+          | Unanswered ->
+              abort
+                (Partitioned
                    (Printf.sprintf
-                      "Vchannel.drain: no quorum reachable to retire rank %d \
-                       (intent parked for post-heal replay)"
-                      rank))
-            end
-          end)
+                      "Vchannel.drain: coordinator %d did not confirm the \
+                       departure of rank %d within patience"
+                      lv.lv_coordinator rank)))
+      | Some el ->
+          (* A rank on its way out must not stand itself. On the minority
+             side the drain mark is withdrawn: the rank stays a member
+             until the majority hears about it. *)
+          if
+            not
+              (settle_by_election t lv el ~ship ~settled
+                 ~candidate:(fun () ->
+                   List.find_opt (fun m -> m <> rank)
+                     (side_members t lv ~viewer:rank))
+                 ~retry:(fun () -> rank <> lv.lv_coordinator)
+                 (P_drain rank))
+          then
+            abort
+              (No_quorum
+                 (Printf.sprintf
+                    "Vchannel.drain: no quorum reachable to retire rank %d \
+                     (intent parked for post-heal replay)"
+                    rank))
 
 (* ------------------------------------------------------------------ *)
 (* Reception *)
@@ -2666,40 +2513,28 @@ let peer_status t ~src ~dst =
     when (not (Topology.mem lv.lv_snapshot dst))
          || not (Topology.mem lv.lv_snapshot src) ->
       Iface.Departed
+  | _ when (not (node_up t dst)) || distrusts t ~viewer:src dst -> Iface.Down
+  | _ when src = dst -> Iface.Up
   | _ -> (
-  match t.rel with
-  | Some r
-    when (not (Simnet.Faults.node_up r.faults dst))
-         ||
-         (* With an election plane suspicion is observer-relative (the
-            asker's own verdict); without one any observer's verdict
-            stands for everybody — the pre-election global semantics. *)
-         (match t.elect with
-         | Some _ -> Hashtbl.mem r.suspected (src, dst)
-         | None -> Hashtbl.mem r.susp_count dst) ->
-      Iface.Down
-  | _ -> (
-      if src = dst then Iface.Up
-      else
-        match Hashtbl.find_opt t.routes (src, dst) with
-        | None -> Iface.Down
-        | Some hops ->
-            let n = List.length hops in
-            let base =
-              match Hashtbl.find_opt t.base_hops (src, dst) with
-              | Some b -> b
-              | None -> n
-            in
-            (* Overload shedding on the current path (destination or any
-               relay above its watermark) outranks mere route
-               lengthening: after rerouting away from an overloaded
-               gateway the flow reports Degraded like any failover. *)
-            if
-              Hashtbl.mem t.overloaded dst
-              || List.exists (fun h -> Hashtbl.mem t.overloaded h.hop_to) hops
-            then Iface.Overloaded
-            else if n > base then Iface.Degraded (n - base)
-            else Iface.Up))
+      match Hashtbl.find_opt t.routes (src, dst) with
+      | None -> Iface.Down
+      | Some hops ->
+          let n = List.length hops in
+          let base =
+            match Hashtbl.find_opt t.base_hops (src, dst) with
+            | Some b -> b
+            | None -> n
+          in
+          (* Overload shedding on the current path (destination or any
+             relay above its watermark) outranks mere route lengthening:
+             after rerouting away from an overloaded gateway the flow
+             reports Degraded like any failover. *)
+          if
+            Hashtbl.mem t.overloaded dst
+            || List.exists (fun h -> Hashtbl.mem t.overloaded h.hop_to) hops
+          then Iface.Overloaded
+          else if n > base then Iface.Degraded (n - base)
+          else Iface.Up)
 
 type rel_stats = {
   reroutes : int;
@@ -2826,10 +2661,7 @@ let queue_stats t =
           q_bound =
             (let extra =
                match t.live with
-               | Some lv -> (
-                   match Hashtbl.find_opt lv.lv_extra_peak node with
-                   | Some n -> n
-                   | None -> 0)
+               | Some lv -> count lv.lv_extra_peak node
                | None -> 0
              in
              Some
@@ -2889,9 +2721,8 @@ let coordinator t =
    true without an election plane — quorum is then not a concept the
    channel tracks. *)
 let has_quorum t ~viewer =
-  match (t.elect, t.live, t.rel) with
-  | Some el, Some lv, Some r ->
-      Simnet.Faults.node_up r.faults viewer && side_has_quorum t lv el ~viewer
+  match (t.elect, t.live) with
+  | Some el, Some lv -> node_up t viewer && side_has_quorum t lv el ~viewer
   | _ -> true
 
 type election_stats = {
@@ -2952,20 +2783,15 @@ let rank_alive t rank =
          Topology.mem lv.lv_snapshot rank
          && not (Hashtbl.mem lv.lv_draining rank)
      | None -> true)
+  && node_up t rank
   &&
-  match t.rel with
-  | Some r -> (
-      Simnet.Faults.node_up r.faults rank
-      &&
-      match (t.elect, t.live) with
-      | Some _, Some lv ->
-          (* Election on: alive means "in the coordinator's trust
-             component" — the committed side's view, so majority trees
-             exclude the whole minority, not just directly-suspected
-             neighbours. Route presence is the trust-path closure. *)
-          rank = lv.lv_coordinator
-          || Hashtbl.mem t.routes (lv.lv_coordinator, rank)
-      | _ -> not (Hashtbl.mem r.susp_count rank))
-  | None -> true
+  match (t.elect, t.live) with
+  | Some _, Some lv ->
+      (* Election on: alive means "in the coordinator's trust component"
+         — the committed side's view, so majority trees exclude the
+         whole minority, not just directly-suspected neighbours. Route
+         presence is the trust-path closure. *)
+      rank = lv.lv_coordinator || Hashtbl.mem t.routes (lv.lv_coordinator, rank)
+  | _ -> not (distrusts t ~viewer:rank rank) (* by-any: any viewer *)
 
 let rank_overloaded t rank = Hashtbl.mem t.overloaded rank

@@ -105,7 +105,11 @@ val create :
     when no route remains, sends raise {!Partitioned}. A reliable
     vchannel additionally runs one phi-accrual {!Sentinel} per rank, so
     suspected (not yet crashed) peers are routed around before a send
-    times out on them, and performs crash-epoch session handshakes:
+    times out on them — suspicion is "by anyone": one observer's Down
+    verdict takes the peer out of every route, {!peer_status} and
+    {!rank_alive} until some observer sees it Up again (see [election]
+    for the observer-relative alternative) — and performs crash-epoch
+    session handshakes:
     after a node restarts with a new fault-plane epoch, peers holding a
     delivery journal for it send back their expected sequence numbers,
     the restarted node resumes numbering there, and end-to-end delivery
@@ -196,10 +200,11 @@ val peer_status : t -> src:int -> dst:int -> Iface.health
     absent from the current topology epoch of a live-topology vchannel
     (a typed verdict, not a lookup failure — failover treats it like
     [Down] but never reroutes to it), [Down] when the destination is
-    crashed or unroutable, [Overloaded] when the destination or a relay
-    on the current route is shedding load above its watermark,
-    [Degraded n] when failover lengthened the route by [n] hops over
-    the original, [Up] otherwise. *)
+    crashed, unroutable or under suspicion (by any observer; with an
+    election plane, by [src] itself), [Overloaded] when the destination
+    or a relay on the current route is shedding load above its
+    watermark, [Degraded n] when failover lengthened the route by [n]
+    hops over the original, [Up] otherwise. *)
 
 (** {1 Live topology}
 
@@ -240,10 +245,6 @@ val drain : t -> rank:int -> unit
     rank itself) and retries; with no quorum reachable the drain mark
     is withdrawn, the intent parked for post-heal replay, and
     {!No_quorum} raised. *)
-
-val draining : t -> int list
-(** Ranks currently mid-drain (still routable, accepting no new flows),
-    sorted. *)
 
 type topology_stats = {
   topo_epoch : int;
@@ -320,10 +321,11 @@ val set_on_col : t -> (me:int -> origin:int -> Bytes.t -> unit) -> unit
 
 val set_on_health_change : t -> (unit -> unit) -> unit
 (** Install a hook called after every liveness transition the vchannel
-    acts on: a crash or restart, a sentinel suspicion raised or cleared,
-    an Overloaded watermark edge, and a topology epoch swap. The
-    Collectives layer uses it to bump its repair generation. One hook
-    per vchannel (last install wins). *)
+    acts on: a crash or restart, a sentinel suspicion that changes what
+    routing sees or its clearing, an Overloaded watermark edge, and a
+    topology epoch swap (the table in [docs/MODEL.md], "Failure
+    detection and recovery"). The Collectives layer uses it to bump its
+    repair generation. One hook per vchannel (last install wins). *)
 
 val neighbours : t -> int -> int list
 (** Ranks sharing at least one physical channel with the given rank, in
@@ -333,7 +335,8 @@ val neighbours : t -> int -> int list
 val rank_alive : t -> int -> bool
 (** Whether a rank can take part in a collective right now: part of the
     vchannel, a member of the current topology epoch (not mid-drain),
-    up, and not suspected — the predicate routing itself uses. With an
+    up, and not suspected by any observer — the predicate routing
+    itself uses. With an
     election plane, "not suspected" becomes "inside the committed
     coordinator's trust component", so majority-side trees exclude an
     entire partitioned minority, not just directly-suspected
@@ -453,12 +456,6 @@ val end_packing : out_connection -> unit
     {!begin_packing}, which relies on every TM being done with a packed
     buffer once [Api.end_packing] returns (docs/EXTENDING.md, "Buffer
     ownership"). *)
-
-val flush : t -> me:int -> unit
-(** Barrier flush: ship every aggregate still buffered in [me]'s
-    scheduler now instead of waiting for a budget or deadline — the
-    hook for synchronization points. No-op without an aggregating
-    scheduler (there is never anything buffered). *)
 
 val begin_unpacking : t -> me:int -> in_connection
 (** Any-source (and any-flow) receive. Within one process, do not mix

@@ -175,7 +175,34 @@ let test_generic_tm_pinned_bytes () =
       Alcotest.(check string)
         "wire bytes" expected
         (hex (Madeleine.Generic_tm.encode_header (sample_header kind))))
-    all_kinds pinned
+    all_kinds pinned;
+  (* One [Topology] payload per op, as the untyped layout wrote it. *)
+  let module G = Madeleine.Generic_tm in
+  let rank = 77 and epoch = 1234 in
+  let term = 1235 and committed = 1234 and watermark = 4242 in
+  List.iter
+    (fun (op, expected) ->
+      Alcotest.(check string) "topology bytes" expected
+        (hex (G.encode_topology op));
+      Alcotest.(check bool) "topology roundtrip" true
+        (G.decode_topology (G.encode_topology op) = op))
+    [
+      (G.Join_req { rank; epoch }, "014d000000d2040000");
+      (G.Join_ack { rank; epoch }, "024d000000d2040000");
+      (G.Drain_req { rank; epoch }, "034d000000d2040000");
+      ( G.Vote_req { rank; term; committed; watermark },
+        "044d000000d3040000d204000092100000" );
+      ( G.Vote_ack { rank; term; committed; watermark },
+        "054d000000d3040000d204000092100000" );
+      ( G.Coord { rank; term; committed; watermark },
+        "064d000000d3040000d204000092100000" );
+    ];
+  Alcotest.check_raises "unknown op"
+    (Invalid_argument "Generic_tm.decode_topology: unknown op 0x07")
+    (fun () -> ignore (G.decode_topology (Bytes.make 17 '\007')));
+  Alcotest.check_raises "short election op"
+    (Invalid_argument "Generic_tm.decode_topology: short payload")
+    (fun () -> ignore (G.decode_topology (Bytes.make 16 '\004')))
 
 let test_generic_tm_illegal_flags () =
   let module G = Madeleine.Generic_tm in
@@ -198,8 +225,8 @@ let test_generic_tm_illegal_flags () =
 (* Every decoder is total: on any bytes and any offset it either returns
    a value that re-encodes to the bytes it read or raises
    [Invalid_argument] — never another exception. Bytes are biased toward
-   the magic and the legal flag values so that the accepting paths are
-   exercised, not only the bad-magic rejection. *)
+   the magic, the legal flag values and the topology opcodes so that the
+   accepting paths are exercised, not only the rejections. *)
 let prop_generic_tm_decoders_total =
   let module G = Madeleine.Generic_tm in
   let byte =
@@ -209,6 +236,7 @@ let prop_generic_tm_decoders_total =
           (4, char);
           (2, return '\xAD');
           (2, map Char.chr (oneofl [ 0; 1; 2; 3; 4; 8; 16; 20; 32; 64; 128 ]));
+          (1, map Char.chr (int_range 1 6));
         ])
   in
   let input =
@@ -244,7 +272,13 @@ let prop_generic_tm_decoders_total =
              let flags = Char.code (Bytes.get b (off + 6)) land 3 in
              same ~from:off b e ~len:6
              && Bytes.get b (off + 7) = Bytes.get e 7
-             && Char.chr flags = Bytes.get e 6))
+             && Char.chr flags = Bytes.get e 6)
+      && total
+           (fun () -> G.decode_topology b)
+           (fun op ->
+             (* Bytes past the op's layout are not read. *)
+             let e = G.encode_topology op in
+             same ~from:0 b e ~len:(Bytes.length e)))
 
 (* ------------------------------------------------------------------ *)
 (* Threshold boundaries: exactly at / around every switch point *)
